@@ -113,13 +113,16 @@ fn baseline_must_carry_every_gated_workload() {
         "ci-roster did not flag the dropped campaign workload: {msgs:?}"
     );
 
-    // Baseline carrying every gated workload: fully clean.
+    // Baseline carrying every gated workload: fully clean. The list is
+    // built from the rule's own roster so a newly gated workload cannot
+    // leave this fixture behind.
+    let entries: Vec<String> = qfc_lint::rules::GATED_WORKLOADS
+        .iter()
+        .map(|name| format!("{{\"name\": \"{name}\"}}"))
+        .collect();
     fs::write(
         root.join("BENCH_baseline.json"),
-        "{\"workloads\": [{\"name\": \"ring-dispersion-sweep\"},\
-          {\"name\": \"opo-threshold-sweep\"},\
-          {\"name\": \"campaign-checkpoint\"},\
-          {\"name\": \"streaming-tomography\"}]}\n",
+        format!("{{\"workloads\": [{}]}}\n", entries.join(",")),
     )
     .expect("baseline");
     let report = qfc_lint::run(&root).expect("lint run");

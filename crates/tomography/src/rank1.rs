@@ -24,12 +24,13 @@
 //! chunk-index-ordered merge, so results are bitwise identical at any
 //! thread count.
 //!
-//! This is a **new opt-in path** with its own golden baselines: its
-//! arithmetic is *mathematically* equal to the classic dense path but
-//! associates products differently, so it is **not** byte-identical to
-//! `reconstruct::try_mle_reconstruction` — which stays untouched and
-//! keeps replaying `tests/golden/` bit for bit (the established
-//! new-baselines-for-new-paths rule).
+//! Both representations run through the one RρR schedule driver in
+//! `reconstruct` (classic and accelerated schedules alike); this module
+//! supplies the representation kernel. Its arithmetic is
+//! *mathematically* equal to the dense exact kernel but associates
+//! products differently, so it is **not** byte-identical to
+//! `reconstruct::try_mle_reconstruction` and pins its own golden
+//! baselines (the established new-baselines-for-new-paths rule).
 
 use serde::{Deserialize, Serialize};
 
@@ -40,13 +41,8 @@ use qfc_mathkit::complex::Complex64;
 use qfc_mathkit::cvector::CVector;
 use qfc_quantum::qudit::BipartiteQudit;
 
-use crate::reconstruct::{try_project_physical, MleAcceleration, MleOptions, MleResult};
+use crate::reconstruct::{run_rrr, MleOptions, MleResult, RrrKernel, P_FLOOR};
 use crate::settings::Setting;
-
-/// Probability floor shared with the classic path: expectations are
-/// clamped to this before dividing, so empty-outcome projectors cannot
-/// blow up `R`.
-const P_FLOOR: f64 = 1e-12;
 
 /// Pairs per parallel sweep task. The chunk layout depends only on the
 /// pair count — never on the thread count — so the partial-`R` merge
@@ -99,21 +95,12 @@ impl ProjectorRepr {
         }
     }
 
-    /// Accumulates `w·Π` into `r`: a dense scaled add, or a rank-1
-    /// `ger` update that never materializes the outer product.
-    pub fn accumulate_scaled(&self, r: &mut CMatrix, w: f64) {
-        match self {
-            ProjectorRepr::Dense(m) => r.add_scaled_assign(m, w),
-            ProjectorRepr::Rank1(v) => r.ger_assign(w, v, v),
-        }
-    }
-
     /// Sweep-internal accumulation that keeps only `r`'s diagonal and
     /// upper triangle authoritative: the dense arm adds the full matrix
     /// (its upper triangle is correct either way), the rank-1 arm runs
-    /// the half-work [`CMatrix::ger_hermitian_upper`] update. `build_r`
-    /// mirrors the triangle once after the chunk merge, so callers of
-    /// the driver always observe a full Hermitian `R`.
+    /// the half-work [`CMatrix::ger_hermitian_upper`] update. The R
+    /// build mirrors the triangle once after the chunk merge, so the
+    /// driver always observes a full Hermitian `R`.
     fn accumulate_scaled_upper(&self, r: &mut CMatrix, w: f64) {
         match self {
             ProjectorRepr::Dense(m) => r.add_scaled_assign(m, w),
@@ -424,8 +411,8 @@ pub fn exact_counts_repr(
 /// One sweep task: partial `R` and partial log-likelihood over a chunk
 /// of `(projector, frequency)` pairs against the current iterate. The
 /// partial `R` is authoritative only on its diagonal and upper triangle
-/// (rank-1 pairs skip the lower half); `build_r` mirrors once after the
-/// merge.
+/// (rank-1 pairs skip the lower half); the R build mirrors once after
+/// the merge.
 ///
 /// All-rank-1 chunks (the common case — sets built by the public
 /// constructors are homogeneous) take a blocked fast path: expectations
@@ -464,60 +451,89 @@ fn sweep_chunk(pairs: &[(&ProjectorRepr, f64)], rho: &CMatrix) -> (CMatrix, f64)
     (r_part, ll)
 }
 
-/// Builds `R = Σ (f/p)·Π` into `r` and returns the log-likelihood
-/// `Σ f·ln p`. Large problems fan the pair sweep out over the worker
-/// pool in fixed [`SWEEP_CHUNK_PAIRS`]-sized chunks and merge the
-/// partial `R` matrices by summation in chunk-index order — the chunk
-/// layout never depends on the thread count, so the result is bitwise
-/// identical at any thread count. The sweep accumulates only the upper
-/// triangle for rank-1 pairs; one [`CMatrix::hermitianize_upper`]
-/// mirror after the merge (O(d²/2) copies, no arithmetic) restores the
-/// full Hermitian `R`.
-fn build_r(pairs: &[(&ProjectorRepr, f64)], rho: &CMatrix, r: &mut CMatrix) -> f64 {
-    let dim = rho.rows();
-    let ll = if pairs.len() * dim * dim >= PAR_SWEEP_MIN_WORK {
-        let partials = qfc_runtime::par_chunks(pairs, SWEEP_CHUNK_PAIRS, |_, chunk| {
-            sweep_chunk(chunk, rho)
-        });
-        r.fill_zero();
-        let mut ll = 0.0;
-        for (r_part, ll_part) in &partials {
-            r.add_scaled_assign(r_part, 1.0);
-            ll += *ll_part;
-        }
+/// Representation kernel of the RρR driver: the chunked parallel `R`
+/// sweep, packed-GEMM products, and bitwise-Hermitian iterates.
+struct ReprKernel {
+    gemm: GemmScratch,
+}
+
+impl<'a> RrrKernel<&'a ProjectorRepr> for ReprKernel {
+    const LABEL: &'static str = "rank-1 ";
+    const ITERATIONS_COUNTER: &'static str = "mle_rank1_iterations";
+    const ACCELERATED_COUNTER: &'static str = "mle_rank1_accelerated_steps";
+
+    /// Builds `R = Σ (f/p)·Π` into `r` and always returns the
+    /// log-likelihood `Σ f·ln p`. Large problems fan the pair sweep out
+    /// over the worker pool in fixed [`SWEEP_CHUNK_PAIRS`]-sized chunks
+    /// and merge the partial `R` matrices by summation in chunk-index
+    /// order — the chunk layout never depends on the thread count, so
+    /// the result is bitwise identical at any thread count. The sweep
+    /// accumulates only the upper triangle for rank-1 pairs; one
+    /// [`CMatrix::hermitianize_upper`] mirror after the merge (O(d²/2)
+    /// copies, no arithmetic) restores the full Hermitian `R`.
+    fn build_r(
+        &mut self,
+        pairs: &[(&'a ProjectorRepr, f64)],
+        rho: &CMatrix,
+        r: &mut CMatrix,
+        _with_ll: bool,
+    ) -> f64 {
+        let dim = rho.rows();
+        let ll = if pairs.len() * dim * dim >= PAR_SWEEP_MIN_WORK {
+            let partials = qfc_runtime::par_chunks(pairs, SWEEP_CHUNK_PAIRS, |_, chunk| {
+                sweep_chunk(chunk, rho)
+            });
+            r.fill_zero();
+            let mut ll = 0.0;
+            for (r_part, ll_part) in &partials {
+                r.add_scaled_assign(r_part, 1.0);
+                ll += *ll_part;
+            }
+            ll
+        } else {
+            // Below the grain threshold the dispatch overhead beats the
+            // win: one serial chunk (still the same kernels).
+            let (r_part, ll) = sweep_chunk(pairs, rho);
+            r.copy_from(&r_part);
+            ll
+        };
+        r.hermitianize_upper();
         ll
-    } else {
-        // Below the grain threshold the dispatch overhead beats the
-        // win: one serial chunk (still the same kernels).
-        let (r_part, ll) = sweep_chunk(pairs, rho);
-        r.copy_from(&r_part);
-        ll
-    };
-    r.hermitianize_upper();
-    ll
+    }
+
+    fn sandwich(&mut self, r: &CMatrix, rho: &CMatrix, r_rho: &mut CMatrix, out: &mut CMatrix) {
+        r.matmul_packed_into(rho, r_rho, &mut self.gemm);
+        r_rho.matmul_packed_into(r, out, &mut self.gemm);
+        // RρR with Hermitian R, ρ is Hermitian up to round-off;
+        // mirroring the upper triangle makes every iterate *bitwise*
+        // Hermitian, which the rank-1 expectation kernel relies on (it
+        // never reads the lower half). The mirror commutes exactly with
+        // the driver's positive trace rescale.
+        out.hermitianize_upper();
+    }
 }
 
 /// Iterative RρR maximum-likelihood reconstruction against a
 /// representation projector set — the rank-1 + packed-GEMM fast path.
 ///
-/// Same fixed-point map and convergence contract as
+/// Same RρR driver, schedules and convergence contract as
 /// [`crate::reconstruct::try_mle_reconstruction_with`], but expectations
-/// run through [`ProjectorRepr::expectation`], the `R` build through
-/// [`ProjectorRepr::accumulate_scaled`] (parallel fixed-order sweep),
-/// and the `RρR` products through the packed GEMM. Supports the same
-/// classic and accelerated schedules. Results are mathematically equal
-/// to the dense classic path but **not** byte-identical to it — this
-/// path pins its own golden baselines.
+/// run through [`ProjectorRepr::expectation`], the `R` build through the
+/// upper-triangle accumulation (parallel fixed-order sweep), and the
+/// `RρR` products through the packed GEMM. Results are mathematically
+/// equal to the dense exact path but **not** byte-identical to it —
+/// this path pins its own golden baselines.
 ///
 /// `counts[s][o]` are the events for outcome `o` of setting `s`;
 /// frequencies are per-setting, and zero-frequency outcomes are skipped
-/// exactly as in the classic path.
+/// exactly as in the dense path.
 ///
 /// # Errors
 ///
 /// * [`QfcError::InvalidParameter`] — count table shape does not match
-///   the set, or the dimension is not a power of two ≥ 2 (the result
-///   type is a `DensityMatrix`);
+///   the set, the dimension is not a power of two ≥ 2 (the result type
+///   is a `DensityMatrix`), or an accelerated schedule with
+///   `max_step < 1` or `growth < 1`;
 /// * [`QfcError::SingularSystem`] — zero total events, or an iteration
 ///   whose update annihilated the trace;
 /// * [`QfcError::NonFinite`] — the update norm left the finite range.
@@ -549,161 +565,17 @@ pub fn try_mle_repr(
             )));
         }
     }
-    let grand_total: u64 = counts.iter().map(|row| row.iter().sum::<u64>()).sum();
-    if grand_total == 0 {
-        return Err(QfcError::SingularSystem {
-            context: "rank-1 MLE reconstruction: zero total events (all-dark data)".to_owned(),
-        });
-    }
-
-    // (projector, frequency) pairs in (s, o) order, f > 0 only — the
-    // classic path's gathering order.
-    let mut pairs: Vec<(&ProjectorRepr, f64)> = Vec::new();
-    for (s, row) in counts.iter().enumerate() {
-        let total: u64 = row.iter().sum();
-        if total == 0 {
-            continue;
-        }
-        for (o, &c) in row.iter().enumerate() {
-            if c > 0 {
-                pairs.push((
-                    set.repr(s, o),
-                    cast::to_f64(c) / cast::to_f64(total),
-                ));
-            }
-        }
-    }
-
-    let mut rho = CMatrix::identity(dim).scale(1.0 / cast::to_f64(cast::usize_to_u64(dim)));
-    let mut r = CMatrix::zeros(dim, dim);
-    let mut r_rho = CMatrix::zeros(dim, dim);
-    let mut next = CMatrix::zeros(dim, dim);
-    let mut gemm = GemmScratch::new();
-    let mut iterations = 0;
-    let mut final_update = f64::INFINITY;
-    let mut accelerated_steps = 0usize;
-    match options.acceleration {
-        MleAcceleration::Classic => {
-            for _ in 0..options.max_iterations {
-                iterations += 1;
-                let _ll = build_r(&pairs, &rho, &mut r);
-                r.matmul_packed_into(&rho, &mut r_rho, &mut gemm);
-                r_rho.matmul_packed_into(&r, &mut next, &mut gemm);
-                let tr = next.trace().re;
-                if !(tr.is_finite() && tr > 0.0) {
-                    return Err(QfcError::SingularSystem {
-                        context: format!(
-                            "rank-1 RρR update annihilated the trace (tr = {tr}) \
-                             at iteration {iterations}"
-                        ),
-                    });
-                }
-                next.scale_in_place(1.0 / tr);
-                // RρR with Hermitian R, ρ is Hermitian up to round-off;
-                // mirroring the upper triangle makes every iterate
-                // *bitwise* Hermitian, which the rank-1 expectation
-                // kernel relies on (it never reads the lower half).
-                next.hermitianize_upper();
-                final_update = next.frobenius_distance(&rho);
-                if !final_update.is_finite() {
-                    return Err(QfcError::non_finite("rank-1 RρR update norm"));
-                }
-                std::mem::swap(&mut rho, &mut next);
-                if final_update < options.tolerance {
-                    break;
-                }
-            }
-        }
-        MleAcceleration::Accelerated { max_step, growth } => {
-            if !(max_step >= 1.0 && max_step.is_finite() && growth >= 1.0 && growth.is_finite()) {
-                return Err(QfcError::invalid(format!(
-                    "accelerated MLE schedule needs finite max_step ≥ 1 and \
-                     growth ≥ 1 (got max_step = {max_step}, growth = {growth})"
-                )));
-            }
-            // Same likelihood-gated over-relaxation as the dense
-            // accelerated path (see reconstruct.rs for the schedule
-            // rationale); only the kernels underneath differ.
-            let fsum: f64 = pairs.iter().map(|&(_, f)| f).sum();
-            let mut prev = rho.clone();
-            let mut gamma = 1.0f64;
-            let mut ll_prev = f64::NEG_INFINITY;
-            let mut update_prev = f64::INFINITY;
-            for _ in 0..options.max_iterations {
-                iterations += 1;
-                let mut ll = build_r(&pairs, &rho, &mut r);
-                if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
-                    // Overshot the likelihood ridge: restore the parent
-                    // iterate, rebuild R there, and step classically.
-                    std::mem::swap(&mut rho, &mut prev);
-                    gamma = 1.0;
-                    ll = build_r(&pairs, &rho, &mut r);
-                }
-                ll_prev = ll;
-                if gamma > 1.0 {
-                    accelerated_steps += 1;
-                    r.scale_in_place(1.0 / fsum);
-                    r.lerp_identity_in_place(gamma);
-                }
-                prev.copy_from(&rho);
-                r.matmul_packed_into(&rho, &mut r_rho, &mut gemm);
-                r_rho.matmul_packed_into(&r, &mut next, &mut gemm);
-                let tr = next.trace().re;
-                if !(tr.is_finite() && tr > 0.0) {
-                    return Err(QfcError::SingularSystem {
-                        context: format!(
-                            "rank-1 accelerated RρR update annihilated the trace \
-                             (tr = {tr}) at iteration {iterations}"
-                        ),
-                    });
-                }
-                next.scale_in_place(1.0 / tr);
-                // RρR with Hermitian R, ρ is Hermitian up to round-off;
-                // mirroring the upper triangle makes every iterate
-                // *bitwise* Hermitian, which the rank-1 expectation
-                // kernel relies on (it never reads the lower half).
-                next.hermitianize_upper();
-                final_update = next.frobenius_distance(&rho);
-                if !final_update.is_finite() {
-                    return Err(QfcError::non_finite("rank-1 accelerated RρR update norm"));
-                }
-                std::mem::swap(&mut rho, &mut next);
-                let residual = final_update / gamma;
-                if residual > update_prev || residual < options.tolerance {
-                    gamma = 1.0;
-                } else {
-                    gamma = (gamma * growth).min(max_step);
-                }
-                update_prev = residual;
-                if final_update < options.tolerance {
-                    break;
-                }
-            }
-            qfc_obs::counter_add(
-                "mle_rank1_accelerated_steps",
-                cast::usize_to_u64(accelerated_steps),
-            );
-        }
-    }
-    qfc_obs::counter_add("mle_rank1_iterations", cast::usize_to_u64(iterations));
-    // Numerical cleanup: symmetrize and clip round-off negativity.
-    let herm = CMatrix::from_fn(dim, dim, |i, j| {
-        (rho[(i, j)] + rho[(j, i)].conj()).scale(0.5)
-    });
-    let rho = try_project_physical(&herm)?;
-    Ok(MleResult {
-        rho,
-        iterations,
-        converged: final_update < options.tolerance,
-        final_update,
-        accelerated_steps,
-    })
+    let mut kernel = ReprKernel {
+        gemm: GemmScratch::new(),
+    };
+    run_rrr(&mut kernel, counts, |s, o| set.repr(s, o), dim, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counts::exact_counts;
+    use crate::reconstruct::MleAcceleration;
     use crate::settings::{all_settings, ProjectorSet};
     use qfc_quantum::bell::werner_state;
     use qfc_quantum::fidelity::state_fidelity;

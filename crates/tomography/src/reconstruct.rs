@@ -236,8 +236,11 @@ pub struct MleResult {
     /// Final update norm.
     pub final_update: f64,
     /// `true` when the final update met the tolerance within the
-    /// iteration budget — `false` signals divergence and is the trigger
-    /// for the supervisor's linear-inversion fallback.
+    /// iteration budget. `false` alone triggers nothing: the
+    /// supervisor's `reconstruct_with_fallback` returns an unconverged
+    /// result as it is, and swaps in linear inversion only when the fit
+    /// errors or its final update is non-finite or at least
+    /// `MLE_DIVERGENCE_UPDATE` (1e-4). Fallback results report `false`.
     pub converged: bool,
     /// Iterations that took an over-relaxed (`γ > 1`) step; always `0`
     /// on the classic path.
@@ -290,7 +293,7 @@ impl Deserialize for MleResult {
 /// Builds the outcome projectors for this call only; reconstructions
 /// that share one setting list (bootstrap replicas, per-channel scans)
 /// should build a [`ProjectorSet`] once and call
-/// [`mle_reconstruction_with`].
+/// [`try_mle_reconstruction_with`].
 ///
 /// # Panics
 ///
@@ -315,38 +318,23 @@ pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> Qf
     try_mle_reconstruction_with(&ProjectorSet::new(&data.settings), data, options)
 }
 
-/// [`mle_reconstruction`] against a prebuilt projector cache.
-///
-/// # Panics
-///
-/// Panics if `projectors` was not built from `data`'s setting list, or
-/// on degenerate data (see [`try_mle_reconstruction_with`]).
-pub fn mle_reconstruction_with(
-    projectors: &ProjectorSet,
-    data: &TomographyData,
-    options: &MleOptions,
-) -> MleResult {
-    match try_mle_reconstruction_with(projectors, data, options) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
 /// [`try_mle_reconstruction`] against a prebuilt projector cache.
 ///
-/// The RρR iteration runs entirely in scratch buffers: per iteration it
-/// performs no allocation, no projector rebuild, and no full matrix
-/// product where only a trace is needed. On the classic path the
-/// arithmetic is ordered exactly as the allocating formulation
-/// (`tr(ρ·Π)` via the skip-zero product loop, `R` accumulated in
-/// `(s, o)` order over `f > 0` outcomes, `RρR` as two products), so
-/// results are bit-identical to the historical implementation.
+/// Runs the shared RρR driver on the dense exact kernel, entirely in
+/// scratch buffers: per iteration it performs no allocation, no
+/// projector rebuild, and no full matrix product where only a trace is
+/// needed. The arithmetic is ordered exactly as the allocating
+/// formulation (`tr(ρ·Π)` via the skip-zero product loop, `R`
+/// accumulated in `(s, o)` order over `f > 0` outcomes, `RρR` as two
+/// products), so results are bit-identical to the historical
+/// implementation.
 ///
 /// # Errors
 ///
 /// * [`QfcError::InsufficientData`] — empty or mixed-arity setting list;
 /// * [`QfcError::InvalidParameter`] — projector cache built from a
-///   different setting list or dimension, malformed count table;
+///   different setting list or dimension, malformed count table, or an
+///   accelerated schedule with `max_step < 1` or `growth < 1`;
 /// * [`QfcError::SingularSystem`] — zero total events, or an iteration
 ///   whose `RρR` update annihilated the trace;
 /// * [`QfcError::NonFinite`] — the update norm left the finite range.
@@ -372,64 +360,103 @@ pub fn try_mle_reconstruction_with(
             projectors.dim()
         )));
     }
-    if data.grand_total() == 0 {
+    let projector = |s, o| projectors.projector(s, o);
+    run_rrr(&mut DenseExact, &data.counts, projector, dim, options)
+}
+
+/// Probability floor: expectations are clamped to this before dividing,
+/// so empty-outcome projectors cannot blow up `R`.
+pub(crate) const P_FLOOR: f64 = 1e-12;
+
+/// The per-iteration arithmetic of [`run_rrr`] for one projector
+/// representation `P`: how `R` is built and how `RρR` is formed.
+pub(crate) trait RrrKernel<P> {
+    /// Prefix naming the path in error contexts (`""` or `"rank-1 "`).
+    const LABEL: &'static str;
+    /// qfc-obs counter for the iterations performed.
+    const ITERATIONS_COUNTER: &'static str;
+    /// qfc-obs counter for the over-relaxed steps (accelerated only).
+    const ACCELERATED_COUNTER: &'static str;
+
+    /// Writes `R = Σ (f/p)·Π` at `rho` into `r`. Returns the
+    /// log-likelihood `Σ f·ln p` when `with_ll` is set; otherwise the
+    /// return value is unspecified.
+    fn build_r(&mut self, pairs: &[(P, f64)], rho: &CMatrix, r: &mut CMatrix, with_ll: bool)
+        -> f64;
+
+    /// Writes the unnormalized sandwich `r·rho·r` into `out`, using
+    /// `r_rho` as scratch.
+    fn sandwich(&mut self, r: &CMatrix, rho: &CMatrix, r_rho: &mut CMatrix, out: &mut CMatrix);
+}
+
+/// Dense exact kernel: the serial `tr(ρ·Π)` / scaled-add `R` build and
+/// two `matmul_into` products — the arithmetic `tests/golden/` pins.
+struct DenseExact;
+
+impl<'a> RrrKernel<&'a CMatrix> for DenseExact {
+    const LABEL: &'static str = "";
+    const ITERATIONS_COUNTER: &'static str = "mle_iterations";
+    const ACCELERATED_COUNTER: &'static str = "mle_accelerated_steps";
+
+    fn build_r(
+        &mut self,
+        pairs: &[(&'a CMatrix, f64)],
+        rho: &CMatrix,
+        r: &mut CMatrix,
+        with_ll: bool,
+    ) -> f64 {
+        r.fill_zero();
+        let mut ll = 0.0;
+        // qfc-lint: hot
+        for &(proj, f) in pairs {
+            let p = rho.trace_of_product(proj).re.max(P_FLOOR);
+            if with_ll {
+                ll += f * p.ln();
+            }
+            r.add_scaled_assign(proj, f / p);
+        }
+        ll
+    }
+
+    fn sandwich(&mut self, r: &CMatrix, rho: &CMatrix, r_rho: &mut CMatrix, out: &mut CMatrix) {
+        r.matmul_into(rho, r_rho);
+        r_rho.matmul_into(r, out);
+    }
+}
+
+/// The RρR schedule driver behind every MLE entry point.
+///
+/// Gathers the `(projector, frequency)` pairs in `(s, o)` order over
+/// `f > 0` outcomes (frequencies are per-setting), runs the classic or
+/// the likelihood-gated accelerated schedule on `kernel`'s arithmetic,
+/// and finishes with the symmetrize → [`try_project_physical`] cleanup.
+/// The caller has validated `counts` against `projector`'s shape.
+pub(crate) fn run_rrr<P: Copy, K: RrrKernel<P>>(
+    kernel: &mut K,
+    counts: &[Vec<u64>],
+    projector: impl Fn(usize, usize) -> P,
+    dim: usize,
+    options: &MleOptions,
+) -> QfcResult<MleResult> {
+    let mut pairs = Vec::new();
+    for (s, row) in counts.iter().enumerate() {
+        let total: u64 = row.iter().sum();
+        for (o, &c) in row.iter().enumerate() {
+            if c > 0 {
+                pairs.push((projector(s, o), cast::to_f64(c) / cast::to_f64(total)));
+            }
+        }
+    }
+    if pairs.is_empty() {
         return Err(QfcError::SingularSystem {
-            context: "MLE reconstruction: zero total events (all-dark data)".to_owned(),
+            context: format!("{}MLE reconstruction: zero total events (all-dark data)", K::LABEL),
         });
     }
-    let mut rho = CMatrix::identity(dim).scale(1.0 / cast::to_f64(dim));
-
-    // Gather (projector, frequency) pairs once, in the same (s, o) order
-    // and with the same f > 0 filter as the per-call rebuild this
-    // replaces.
-    let mut pairs: Vec<(&CMatrix, f64)> = Vec::new();
-    for (s_idx, setting) in data.settings.iter().enumerate() {
-        for o in 0..setting.outcomes() {
-            let f = data.frequency(s_idx, o);
-            if f > 0.0 {
-                pairs.push((projectors.projector(s_idx, o), f));
-            }
-        }
-    }
-
-    let mut r = CMatrix::zeros(dim, dim);
-    let mut r_rho = CMatrix::zeros(dim, dim);
-    let mut next = CMatrix::zeros(dim, dim);
-    let mut iterations = 0;
-    let mut final_update = f64::INFINITY;
-    let mut accelerated_steps = 0usize;
-    match options.acceleration {
-        MleAcceleration::Classic => {
-            // qfc-lint: hot
-            for _ in 0..options.max_iterations {
-                iterations += 1;
-                r.fill_zero();
-                for &(proj, f) in &pairs {
-                    let p = rho.trace_of_product(proj).re.max(1e-12);
-                    r.add_scaled_assign(proj, f / p);
-                }
-                r.matmul_into(&rho, &mut r_rho);
-                r_rho.matmul_into(&r, &mut next);
-                let tr = next.trace().re;
-                if !(tr.is_finite() && tr > 0.0) {
-                    return Err(QfcError::SingularSystem {
-                        context: format!(
-                            "RρR update annihilated the trace (tr = {tr}) \
-                             at iteration {iterations}"
-                        ),
-                    });
-                }
-                next.scale_in_place(1.0 / tr);
-                final_update = next.frobenius_distance(&rho);
-                if !final_update.is_finite() {
-                    return Err(QfcError::non_finite("RρR update norm"));
-                }
-                std::mem::swap(&mut rho, &mut next);
-                if final_update < options.tolerance {
-                    break;
-                }
-            }
-        }
+    // The classic schedule is the accelerated one with `γ` pinned at 1
+    // and the likelihood gate (and its `ln` per pair) switched off.
+    let accelerated = options.acceleration != MleAcceleration::Classic;
+    let (max_step, growth) = match options.acceleration {
+        MleAcceleration::Classic => (1.0, 1.0),
         MleAcceleration::Accelerated { max_step, growth } => {
             if !(max_step >= 1.0 && max_step.is_finite() && growth >= 1.0 && growth.is_finite()) {
                 return Err(QfcError::invalid(format!(
@@ -437,97 +464,95 @@ pub fn try_mle_reconstruction_with(
                      growth ≥ 1 (got max_step = {max_step}, growth = {growth})"
                 )));
             }
-            // Likelihood-gated over-relaxation. `prev` holds the iterate
-            // the current one was produced from, so an overshoot can be
-            // rolled back for the price of one extra R build.
-            //
-            // `R` sums one ≈identity resolution per measured setting, so
-            // its fixed-point value is `fsum·I`, not `I`; the identity
-            // mix is applied to `R/fsum` so that `γ` measures the
-            // over-relaxation relative to a unit classic step. The
-            // normalization cancels in `tr(AρA)` at `γ = 1`, which is
-            // why the unscaled classic step below is the same map.
-            let fsum: f64 = pairs.iter().map(|&(_, f)| f).sum();
-            let mut prev = rho.clone();
-            let mut gamma = 1.0f64;
-            let mut ll_prev = f64::NEG_INFINITY;
-            let mut update_prev = f64::INFINITY;
-            // qfc-lint: hot
-            for _ in 0..options.max_iterations {
-                iterations += 1;
-                r.fill_zero();
-                let mut ll = 0.0;
-                for &(proj, f) in &pairs {
-                    let p = rho.trace_of_product(proj).re.max(1e-12);
-                    ll += f * p.ln();
-                    r.add_scaled_assign(proj, f / p);
-                }
-                if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
-                    // The over-relaxed step lost likelihood: restore the
-                    // parent iterate, fall back to a classic step, and
-                    // rebuild R there.
-                    std::mem::swap(&mut rho, &mut prev);
-                    gamma = 1.0;
-                    r.fill_zero();
-                    ll = 0.0;
-                    for &(proj, f) in &pairs {
-                        let p = rho.trace_of_product(proj).re.max(1e-12);
-                        ll += f * p.ln();
-                        r.add_scaled_assign(proj, f / p);
-                    }
-                }
-                ll_prev = ll;
-                if gamma > 1.0 {
-                    accelerated_steps += 1;
-                    r.scale_in_place(1.0 / fsum);
-                    r.lerp_identity_in_place(gamma);
-                }
-                prev.copy_from(&rho);
-                r.matmul_into(&rho, &mut r_rho);
-                r_rho.matmul_into(&r, &mut next);
-                let tr = next.trace().re;
-                if !(tr.is_finite() && tr > 0.0) {
-                    return Err(QfcError::SingularSystem {
-                        context: format!(
-                            "accelerated RρR update annihilated the trace \
-                             (tr = {tr}) at iteration {iterations}"
-                        ),
-                    });
-                }
-                next.scale_in_place(1.0 / tr);
-                final_update = next.frobenius_distance(&rho);
-                if !final_update.is_finite() {
-                    return Err(QfcError::non_finite("accelerated RρR update norm"));
-                }
-                std::mem::swap(&mut rho, &mut next);
-                // An over-relaxed step is ~γ× a classic step, so the
-                // raw update norm says nothing about progress across
-                // different γ; `update/γ` is the classic-equivalent
-                // residual. Near the likelihood ridge the iterate can
-                // oscillate with a stalled residual while the
-                // likelihood is flat at FP resolution — dropping back
-                // to a classic step there restores the monotone tail.
-                // Once the residual clears the tolerance, the next
-                // step is forced classic as well, so the update that
-                // terminates the loop is a genuine (unamplified) one.
-                let residual = final_update / gamma;
-                if residual > update_prev || residual < options.tolerance {
-                    gamma = 1.0;
-                } else {
-                    gamma = (gamma * growth).min(max_step);
-                }
-                update_prev = residual;
-                if final_update < options.tolerance {
-                    break;
-                }
+            (max_step, growth)
+        }
+    };
+    let accel_label = if accelerated { "accelerated " } else { "" };
+    // `R` sums one ≈identity resolution per measured setting, so its
+    // fixed-point value is `fsum·I`, not `I`; the identity mix is applied
+    // to `R/fsum` so that `γ` measures the over-relaxation relative to a
+    // unit classic step. The normalization cancels in `tr(AρA)` at
+    // `γ = 1`, which is why `R` stays unscaled there.
+    let fsum: f64 = pairs.iter().map(|&(_, f)| f).sum();
+    let mut rho = CMatrix::identity(dim).scale(1.0 / cast::to_f64(dim));
+    // `prev` holds the iterate the current one was produced from, so an
+    // overshoot can be rolled back for the price of one extra R build.
+    let mut prev = rho.clone();
+    let mut gamma = 1.0f64;
+    let mut ll_prev = f64::NEG_INFINITY;
+    let mut update_prev = f64::INFINITY;
+
+    let mut r = CMatrix::zeros(dim, dim);
+    let mut r_rho = CMatrix::zeros(dim, dim);
+    let mut next = CMatrix::zeros(dim, dim);
+    let mut iterations = 0;
+    let mut final_update = f64::INFINITY;
+    let mut accelerated_steps = 0usize;
+    // qfc-lint: hot
+    for _ in 0..options.max_iterations {
+        iterations += 1;
+        let mut ll = kernel.build_r(&pairs, &rho, &mut r, accelerated);
+        if accelerated {
+            if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
+                // The over-relaxed step lost likelihood: restore the
+                // parent iterate, fall back to a classic step, and
+                // rebuild R there.
+                std::mem::swap(&mut rho, &mut prev);
+                gamma = 1.0;
+                ll = kernel.build_r(&pairs, &rho, &mut r, true);
             }
-            qfc_obs::counter_add(
-                "mle_accelerated_steps",
-                cast::usize_to_u64(accelerated_steps),
-            );
+            ll_prev = ll;
+            prev.copy_from(&rho);
+        }
+        if gamma > 1.0 {
+            accelerated_steps += 1;
+            r.scale_in_place(1.0 / fsum);
+            r.lerp_identity_in_place(gamma);
+        }
+        kernel.sandwich(&r, &rho, &mut r_rho, &mut next);
+        let tr = next.trace().re;
+        if !(tr.is_finite() && tr > 0.0) {
+            return Err(QfcError::SingularSystem {
+                context: format!(
+                    "{}{accel_label}RρR update annihilated the trace (tr = {tr}) \
+                     at iteration {iterations}",
+                    K::LABEL
+                ),
+            });
+        }
+        next.scale_in_place(1.0 / tr);
+        final_update = next.frobenius_distance(&rho);
+        if !final_update.is_finite() {
+            return Err(QfcError::non_finite(format!(
+                "{}{accel_label}RρR update norm",
+                K::LABEL
+            )));
+        }
+        std::mem::swap(&mut rho, &mut next);
+        // An over-relaxed step is ~γ× a classic step, so the raw update
+        // norm says nothing about progress across different γ;
+        // `update/γ` is the classic-equivalent residual. Near the
+        // likelihood ridge the iterate can oscillate with a stalled
+        // residual while the likelihood is flat at FP resolution —
+        // dropping back to a classic step there restores the monotone
+        // tail. Once the residual clears the tolerance, the next step is
+        // forced classic as well, so the update that terminates the loop
+        // is a genuine (unamplified) one.
+        let residual = final_update / gamma;
+        if residual > update_prev || residual < options.tolerance {
+            gamma = 1.0;
+        } else {
+            gamma = (gamma * growth).min(max_step);
+        }
+        update_prev = residual;
+        if final_update < options.tolerance {
+            break;
         }
     }
-    qfc_obs::counter_add("mle_iterations", cast::usize_to_u64(iterations));
+    if accelerated {
+        qfc_obs::counter_add(K::ACCELERATED_COUNTER, cast::usize_to_u64(accelerated_steps));
+    }
+    qfc_obs::counter_add(K::ITERATIONS_COUNTER, cast::usize_to_u64(iterations));
     // Numerical cleanup: symmetrize and clip round-off negativity.
     let herm = CMatrix::from_fn(dim, dim, |i, j| {
         (rho[(i, j)] + rho[(j, i)].conj()).scale(0.5)

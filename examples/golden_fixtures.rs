@@ -23,7 +23,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{mle_reconstruction, MleOptions};
+use qfc::tomography::reconstruct::{mle_reconstruction, MleAcceleration, MleOptions};
 use qfc::tomography::settings::all_settings;
 
 fn write_fixture(dir: &Path, name: &str, json: &str) {
@@ -55,6 +55,14 @@ fn main() {
     let mle = mle_reconstruction(&data, &MleOptions::default());
     write_fixture(&dir, "mle_reconstruction.json", &serde_json::to_string(&mle).expect("json"));
 
+    // The same counts under the likelihood-gated accelerated schedule.
+    let accel_opts = MleOptions {
+        acceleration: MleAcceleration::accelerated(),
+        ..MleOptions::default()
+    };
+    let mle_accel = mle_reconstruction(&data, &accel_opts);
+    write_fixture(&dir, "mle_accelerated.json", &serde_json::to_string(&mle_accel).expect("json"));
+
     // Rank-1 + packed-GEMM qudit MLE (the large-d fast path). This is a
     // *new* path pinning its *own* baseline — deterministic and bitwise
     // thread-invariant, but intentionally not byte-comparable to the
@@ -70,6 +78,26 @@ fn main() {
     };
     let qudit = try_mle_repr(&qudit_set, &qudit_counts, &qudit_opts).expect("rank-1 MLE");
     write_fixture(&dir, "qudit_mle_rank1.json", &serde_json::to_string(&qudit).expect("json"));
+
+    // Rank-1 accelerated schedule at d = 16 with 12 bases: large enough
+    // (pairs·d² above the sweep's parallel threshold) to run the chunked
+    // parallel R build.
+    let accel_truth = synthetic_low_rank_state(16, 2, 9).expect("synthetic state");
+    let accel_bases = deterministic_bases(16, 12, 31).expect("bases");
+    let accel_set = ProjectorReprSet::try_rank1_from_bases(&accel_bases).expect("set");
+    let accel_counts = exact_counts_repr(&accel_truth, &accel_set, 1_000_000).expect("counts");
+    let accel_qudit_opts = MleOptions {
+        max_iterations: 80,
+        tolerance: 1e-9,
+        acceleration: MleAcceleration::accelerated(),
+    };
+    let accel_qudit =
+        try_mle_repr(&accel_set, &accel_counts, &accel_qudit_opts).expect("rank-1 MLE");
+    write_fixture(
+        &dir,
+        "qudit_mle_rank1_accelerated.json",
+        &serde_json::to_string(&accel_qudit).expect("json"),
+    );
 
     // Bootstrap error bar over MLE re-reconstructions (resampling + MLE).
     let target = bell_phi_plus();

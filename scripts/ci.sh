@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, root test suite, workspace static analysis
-# (qfc-lint), per-crate lints, and a seconds-scale bench smoke run that
-# cross-checks serial vs parallel determinism. Run from the repository root.
+# Tier-1 gate: release build, every workspace crate's tests, workspace
+# static analysis (qfc-lint), per-crate lints, and a seconds-scale bench
+# smoke run that cross-checks serial vs parallel determinism. Run from
+# the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> qfc-lint --deny (workspace static analysis)"
 cargo run --release -p qfc-lint -- --deny

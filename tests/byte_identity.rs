@@ -8,6 +8,10 @@
 //! match the pre-rework output byte for byte — the strongest possible
 //! statement that the optimizations are pure refactors of the arithmetic,
 //! not statistical approximations of it.
+//!
+//! `mle_accelerated.json` and `qudit_mle_rank1_accelerated.json` pin the
+//! accelerated RρR schedule on the dense and rank-1 kernels; they were
+//! generated before the MLE iteration loops were merged into one driver.
 
 use std::fs;
 use std::path::PathBuf;
@@ -24,7 +28,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{mle_reconstruction, MleOptions};
+use qfc::tomography::reconstruct::{mle_reconstruction, MleAcceleration, MleOptions};
 use qfc::tomography::settings::all_settings;
 
 fn golden(name: &str) -> String {
@@ -89,6 +93,22 @@ fn mle_reconstruction_matches_pre_rework_bytes() {
 }
 
 #[test]
+fn mle_accelerated_matches_pinned_bytes() {
+    let truth = werner_state(0.83, 0.0);
+    let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
+    let opts = MleOptions {
+        acceleration: MleAcceleration::accelerated(),
+        ..MleOptions::default()
+    };
+    let mle = mle_reconstruction(&data, &opts);
+    assert!(mle.accelerated_steps > 0, "schedule never over-relaxed");
+    assert_bytes_match(
+        "mle_accelerated.json",
+        &serde_json::to_string(&mle).expect("json"),
+    );
+}
+
+#[test]
 fn bootstrap_mle_matches_pre_rework_bytes() {
     let truth = werner_state(0.83, 0.0);
     let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
@@ -141,6 +161,41 @@ fn qudit_rank1_mle_bytes_invariant_across_thread_counts() {
     for threads in [1usize, 4, 8] {
         let json = qfc::runtime::with_threads(threads, qudit_rank1_json);
         assert_bytes_match("qudit_mle_rank1.json", &json);
+    }
+}
+
+/// Mirror of the rank-1 sweep's private `PAR_SWEEP_MIN_WORK`: below
+/// `pairs·d²` of this size the R build runs as one serial chunk.
+const PAR_SWEEP_MIN_WORK: usize = 1 << 15;
+
+/// The `qudit_mle_rank1_accelerated.json` reconstruction: the rank-1
+/// path under the accelerated schedule, at d = 16 with 12 bases so the
+/// chunked parallel R sweep runs (asserted below).
+fn qudit_rank1_accelerated_json() -> String {
+    let truth = synthetic_low_rank_state(16, 2, 9).expect("synthetic state");
+    let bases = deterministic_bases(16, 12, 31).expect("bases");
+    let set = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
+    let counts = exact_counts_repr(&truth, &set, 1_000_000).expect("counts");
+    let pairs = counts.iter().flatten().filter(|&&c| c > 0).count();
+    assert!(
+        pairs * 16 * 16 >= PAR_SWEEP_MIN_WORK,
+        "{pairs} pairs at d = 16 stay below the parallel sweep threshold"
+    );
+    let opts = MleOptions {
+        max_iterations: 80,
+        tolerance: 1e-9,
+        acceleration: MleAcceleration::accelerated(),
+    };
+    let mle = try_mle_repr(&set, &counts, &opts).expect("rank-1 MLE");
+    assert!(mle.accelerated_steps > 0, "schedule never over-relaxed");
+    serde_json::to_string(&mle).expect("json")
+}
+
+#[test]
+fn qudit_rank1_accelerated_mle_matches_pinned_bytes_at_1_4_8_threads() {
+    for threads in [1usize, 4, 8] {
+        let json = qfc::runtime::with_threads(threads, qudit_rank1_accelerated_json);
+        assert_bytes_match("qudit_mle_rank1_accelerated.json", &json);
     }
 }
 
