@@ -5,6 +5,7 @@
 use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
 
+use qfc_faults::{FaultSchedule, QfcResult};
 use qfc_mathkit::rng::split_seed;
 use qfc_photonics::pump::PumpConfig;
 use qfc_photonics::units::Power;
@@ -12,11 +13,13 @@ use qfc_quantum::bell::werner_state;
 use qfc_quantum::fidelity::state_fidelity;
 use qfc_tomography::counts::simulate_counts_seeded;
 use qfc_tomography::reconstruct::{
-    linear_reconstruction, mle_reconstruction, MleAcceleration, MleOptions,
+    try_linear_reconstruction, try_mle_reconstruction, MleAcceleration, MleOptions,
 };
 use qfc_tomography::settings::all_settings;
 
-use crate::heralded::{run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig};
+use crate::heralded::{
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+};
 use crate::source::QfcSource;
 
 /// One pump scheme's stability outcome.
@@ -89,7 +92,11 @@ pub struct TomographyAblationRow {
 /// physical cone. Each row also runs the over-relaxed RρR schedule
 /// against the classic one at the same tolerance, recording the
 /// iteration cut the accelerated path buys.
-pub fn tomography_ablation(shots: &[u64], seed: u64) -> Vec<TomographyAblationRow> {
+///
+/// # Errors
+///
+/// The first reconstruction error, in row order.
+pub fn tomography_ablation(shots: &[u64], seed: u64) -> QfcResult<Vec<TomographyAblationRow>> {
     let truth = werner_state(0.83, 0.0);
     let settings = all_settings(2);
     // Each statistics level samples and reconstructs on its own
@@ -97,24 +104,26 @@ pub fn tomography_ablation(shots: &[u64], seed: u64) -> Vec<TomographyAblationRo
     let indexed: Vec<(usize, u64)> = shots.iter().copied().enumerate().collect();
     qfc_runtime::par_map(&indexed, |&(row, n)| {
         let data = simulate_counts_seeded(&truth, &settings, n, split_seed(seed, cast::usize_to_u64(row)));
-        let lin = linear_reconstruction(&data);
-        let mle = mle_reconstruction(&data, &MleOptions::default());
-        let accel = mle_reconstruction(
+        let lin = try_linear_reconstruction(&data)?;
+        let mle = try_mle_reconstruction(&data, &MleOptions::default())?;
+        let accel = try_mle_reconstruction(
             &data,
             &MleOptions {
                 acceleration: MleAcceleration::accelerated(),
                 ..MleOptions::default()
             },
-        );
-        TomographyAblationRow {
+        )?;
+        Ok(TomographyAblationRow {
             shots_per_setting: n,
             linear_fidelity: state_fidelity(&lin, &truth),
             mle_fidelity: state_fidelity(&mle.rho, &truth),
             mle_iterations: mle.iterations,
             accelerated_fidelity: state_fidelity(&accel.rho, &truth),
             accelerated_iterations: accel.iterations,
-        }
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 /// One row of the coincidence-window ablation.
@@ -131,7 +140,11 @@ pub struct WindowAblationRow {
 /// Ablation of the coincidence window: short windows cut the 1.45-ns
 /// correlation envelope (losing true pairs), long windows integrate
 /// accidentals — CAR peaks in between.
-pub fn window_ablation(windows_ps: &[i64], seed: u64) -> Vec<WindowAblationRow> {
+///
+/// # Errors
+///
+/// The first §II driver error, in window order.
+pub fn window_ablation(windows_ps: &[i64], seed: u64) -> QfcResult<Vec<WindowAblationRow>> {
     let source = QfcSource::paper_device();
     // Same seed for every window: the tag streams are identical, only the
     // coincidence gating changes, which is exactly the comparison wanted.
@@ -141,13 +154,16 @@ pub fn window_ablation(windows_ps: &[i64], seed: u64) -> Vec<WindowAblationRow> 
         cfg.duration_s = 20.0;
         cfg.linewidth_pairs = 500;
         cfg.coincidence_window_ps = w;
-        let report = run_heralded_experiment(&source, &cfg, seed);
-        WindowAblationRow {
+        let report =
+            try_run_heralded_experiment(&source, &cfg, seed, &FaultSchedule::empty())?.report;
+        Ok(WindowAblationRow {
             window_ps: w,
             car: report.channels[0].car,
             coincidence_rate_hz: report.channels[0].coincidence_rate_hz,
-        }
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -171,7 +187,7 @@ mod tests {
 
     #[test]
     fn mle_wins_at_low_counts() {
-        let rows = tomography_ablation(&[20, 2000], 99);
+        let rows = tomography_ablation(&[20, 2000], 99).expect("ablation");
         // At high statistics both are excellent.
         assert!(rows[1].linear_fidelity > 0.99);
         assert!(rows[1].mle_fidelity > 0.99);
@@ -203,7 +219,7 @@ mod tests {
 
     #[test]
     fn window_ablation_shows_capture_tradeoff() {
-        let rows = window_ablation(&[500, 8000, 64_000], 93);
+        let rows = window_ablation(&[500, 8000, 64_000], 93).expect("ablation");
         // Wider window captures more of the 1.45-ns envelope…
         assert!(rows[1].coincidence_rate_hz > rows[0].coincidence_rate_hz);
         // …and the widest window must not improve CAR any further

@@ -145,26 +145,10 @@ impl CrossPolRun {
     }
 }
 
-/// Runs the F4 virtual experiment: type-II pairs split on a PBS,
-/// detected, and counted.
-///
-/// # Panics
-///
-/// Panics if the source is not bichromatically pumped.
-pub fn run_crosspol_experiment(
-    source: &QfcSource,
-    config: &CrossPolConfig,
-    seed: u64,
-) -> CrossPolReport {
-    match try_run_crosspol_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible, fault-aware form of [`run_crosspol_experiment`]: the TE arm
-/// maps onto the channel-1 signal detector and the TM arm onto the
-/// channel-1 idler detector of the fault schedule.
+/// Runs the F4 virtual experiment under a fault schedule: type-II pairs
+/// split on a PBS, detected, and counted. The TE arm maps onto the
+/// channel-1 signal detector and the TM arm onto the channel-1 idler
+/// detector of the fault schedule.
 ///
 /// # Errors
 ///
@@ -409,18 +393,24 @@ pub fn run_suppression_sweep(offsets_ghz: &[f64]) -> Vec<SuppressionPoint> {
 mod tests {
     use super::*;
 
+    /// The fault-free F4 run on the paper's type-II device.
+    fn clean_run(config: &CrossPolConfig, seed: u64) -> CrossPolReport {
+        let src = QfcSource::paper_device_type2();
+        try_run_crosspol_experiment(&src, config, seed, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    }
+
     #[test]
     fn fast_demo_produces_car_peak() {
-        let src = QfcSource::paper_device_type2();
-        let report = run_crosspol_experiment(&src, &CrossPolConfig::fast_demo(), 11);
+        let report = clean_run(&CrossPolConfig::fast_demo(), 11);
         assert!(report.coincidence_rate_hz > 0.0);
         assert!(report.car > 2.0, "CAR {}", report.car);
     }
 
     #[test]
     fn stimulated_process_suppressed_on_paper_device() {
-        let src = QfcSource::paper_device_type2();
-        let report = run_crosspol_experiment(&src, &CrossPolConfig::fast_demo(), 12);
+        let report = clean_run(&CrossPolConfig::fast_demo(), 12);
         assert!(report.stimulated_response < 1e-4, "{}", report.stimulated_response);
     }
 
@@ -449,24 +439,19 @@ mod tests {
     #[test]
     fn report_rows() {
         let src = QfcSource::paper_device_type2();
-        let report = run_crosspol_experiment(&src, &CrossPolConfig::fast_demo(), 13);
+        let report = clean_run(&CrossPolConfig::fast_demo(), 13);
         assert_eq!(report.to_report().comparisons.len(), 2);
         let sweep = run_power_sweep(&src, 8).to_report();
         assert!(sweep.all_pass(), "{}", sweep.render());
     }
 
     #[test]
-    fn empty_schedule_matches_legacy_run() {
+    fn empty_schedule_leaves_health_pristine() {
         let src = QfcSource::paper_device_type2();
         let cfg = CrossPolConfig::fast_demo();
-        let legacy = run_crosspol_experiment(&src, &cfg, 14);
         let run = try_run_crosspol_experiment(&src, &cfg, 14, &FaultSchedule::empty())
             .expect("clean run");
         assert!(run.health.is_pristine());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
     }
 
     #[test]

@@ -278,32 +278,14 @@ impl HeraldedRun {
     }
 }
 
-/// Runs the §II virtual experiment.
+/// Runs the §II virtual experiment under a fault schedule.
 ///
-/// # Panics
-///
-/// Panics if the source is not in a CW regime or the configuration is
-/// out of range.
-pub fn run_heralded_experiment(
-    source: &QfcSource,
-    config: &HeraldedConfig,
-    seed: u64,
-) -> HeraldedReport {
-    match try_run_heralded_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible, fault-aware form of [`run_heralded_experiment`].
-///
-/// With [`FaultSchedule::empty`] the result is bit-identical to the
-/// panicking API (every physics RNG stream is untouched). With a
-/// non-empty schedule, pump faults thin the pair rate, detector dropouts
-/// kill arrivals inside their windows, dark bursts raise the dark rate,
-/// TDC saturation caps the click rate, and the supervisor re-locks the
-/// pump and quarantines channels whose detectors are dead for most of
-/// the run.
+/// [`FaultSchedule::empty`] leaves every physics RNG stream untouched
+/// and gives the fault-free run. With a non-empty schedule, pump faults
+/// thin the pair rate, detector dropouts kill arrivals inside their
+/// windows, dark bursts raise the dark rate, TDC saturation caps the
+/// click rate, and the supervisor re-locks the pump and quarantines
+/// channels whose detectors are dead for most of the run.
 ///
 /// # Errors
 ///
@@ -762,9 +744,15 @@ mod tests {
         QfcSource::paper_device()
     }
 
+    fn clean_run(config: &HeraldedConfig, seed: u64) -> HeraldedReport {
+        try_run_heralded_experiment(&fast_source(), config, seed, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    }
+
     #[test]
     fn fast_demo_run_produces_coincidences() {
-        let report = run_heralded_experiment(&fast_source(), &HeraldedConfig::fast_demo(), 1);
+        let report = clean_run(&HeraldedConfig::fast_demo(), 1);
         assert_eq!(report.channels.len(), 3);
         for c in &report.channels {
             assert!(c.coincidence_rate_hz > 0.5, "m={}: {c:?}", c.m);
@@ -774,7 +762,7 @@ mod tests {
 
     #[test]
     fn matrix_is_diagonal_dominated() {
-        let report = run_heralded_experiment(&fast_source(), &HeraldedConfig::fast_demo(), 2);
+        let report = clean_run(&HeraldedConfig::fast_demo(), 2);
         assert!(report.matrix_contrast() > 3.0, "contrast {}", report.matrix_contrast());
     }
 
@@ -784,7 +772,7 @@ mod tests {
         cfg.duration_s = 1.0;
         cfg.channels = 1;
         cfg.linewidth_pairs = 30_000;
-        let report = run_heralded_experiment(&fast_source(), &cfg, 3);
+        let report = clean_run(&cfg, 3);
         let lw = report.linewidth.linewidth_hz;
         assert!((lw - 110e6).abs() / 110e6 < 0.15, "Δν = {} MHz", lw / 1e6);
     }
@@ -796,7 +784,7 @@ mod tests {
         cfg.channels = 1;
         cfg.detector.dark_count_rate_hz = 100.0;
         cfg.linewidth_pairs = 1000;
-        let report = run_heralded_experiment(&fast_source(), &cfg, 4);
+        let report = clean_run(&cfg, 4);
         let generated = fast_source().pair_rate_cw(1);
         let inferred = report.channels[0].inferred_pair_rate_hz;
         assert!(
@@ -830,32 +818,28 @@ mod tests {
 
     #[test]
     fn report_rows_generated() {
-        let report = run_heralded_experiment(&fast_source(), &HeraldedConfig::fast_demo(), 6);
+        let report = clean_run(&HeraldedConfig::fast_demo(), 6);
         let rows = report.to_report();
         assert_eq!(rows.comparisons.len(), 6);
         assert!(rows.render().contains("F2"));
     }
 
     #[test]
-    #[should_panic(expected = "at least one channel")]
     fn zero_channels_rejected() {
         let mut cfg = HeraldedConfig::fast_demo();
         cfg.channels = 0;
-        let _ = run_heralded_experiment(&fast_source(), &cfg, 1);
+        let err = try_run_heralded_experiment(&fast_source(), &cfg, 1, &FaultSchedule::empty())
+            .unwrap_err();
+        assert!(matches!(err, QfcError::InvalidParameter { .. }), "{err}");
+        assert!(err.to_string().contains("at least one channel"), "{err}");
     }
 
     #[test]
-    fn empty_schedule_matches_legacy_run() {
+    fn empty_schedule_leaves_health_pristine() {
         let cfg = HeraldedConfig::fast_demo();
-        let legacy = run_heralded_experiment(&fast_source(), &cfg, 7);
-        let run =
-            try_run_heralded_experiment(&fast_source(), &cfg, 7, &FaultSchedule::empty())
-                .expect("clean run");
+        let run = try_run_heralded_experiment(&fast_source(), &cfg, 7, &FaultSchedule::empty())
+            .expect("clean run");
         assert!(run.health.is_pristine());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
     }
 
     #[test]

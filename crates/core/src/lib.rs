@@ -13,9 +13,11 @@
 //!   quantum-communications motivation)
 //!
 //! plus typed paper-vs-measured reporting in [`report`] and the
-//! fault-injection / graceful-degradation layer: every driver has a
-//! `try_run_*` form taking a [`qfc_faults::FaultSchedule`], returning a
-//! [`qfc_faults::HealthReport`] alongside its physics report, with
+//! fault-injection / graceful-degradation layer: every §II–§V shot
+//! driver is a fallible `try_run_*` function taking a
+//! [`qfc_faults::FaultSchedule`] (`FaultSchedule::empty()` for the clean
+//! run), returning a [`qfc_faults::HealthReport`] alongside its physics
+//! report, with
 //! recovery policies (pump re-lock, channel quarantine, estimator
 //! fallback) in [`supervisor`].
 //!

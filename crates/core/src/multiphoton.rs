@@ -97,33 +97,6 @@ pub struct BellTomographyResult {
     pub iterations: usize,
 }
 
-/// Runs T3: 16-setting two-qubit tomography of each channel's time-bin
-/// Bell state, reconstructed with MLE.
-pub fn run_bell_tomography(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> Vec<BellTomographyResult> {
-    let channels: Vec<u32> = (1..=config.timebin.channels).collect();
-    let mut health = HealthReport::pristine();
-    let op = BellOperatingPoint {
-        duration_s: nominal_duration_s(&config.timebin),
-        amp: 1.0,
-    };
-    match try_run_bell_tomography(
-        source,
-        config,
-        seed,
-        &FaultSchedule::empty(),
-        op,
-        &channels,
-        &mut health,
-    ) {
-        Ok(bell) => bell,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
 /// One channel's T3 tomography — the per-channel shard body of the
 /// campaign decomposition. Builds the fault-adjusted operating point for
 /// channel `m` (RNG-free), samples the 16-setting counts on the
@@ -192,8 +165,9 @@ struct BellOperatingPoint {
     amp: f64,
 }
 
-/// Parameterized T3 body: `op` carries the fault-adjusted operating
-/// point and `survivors` the channels that escaped quarantine.
+/// Runs T3: 16-setting two-qubit tomography of each channel's time-bin
+/// Bell state, reconstructed with MLE. `op` carries the fault-adjusted
+/// operating point and `survivors` the channels that escaped quarantine.
 fn try_run_bell_tomography(
     source: &QfcSource,
     config: &MultiPhotonConfig,
@@ -230,26 +204,10 @@ pub struct FourPhotonFringe {
 }
 
 /// Runs F8: all four photons analyzed at a common phase; four-fold
-/// coincidences oscillate at the second harmonic.
-pub fn run_four_photon_fringe(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> FourPhotonFringe {
-    match try_four_photon_fringe(
-        source,
-        config,
-        seed,
-        &config.timebin,
-        config.four_fold_pump_factor,
-    ) {
-        Ok(f) => f,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Parameterized F8 body: `tb` is the (possibly fault-adjusted) time-bin
-/// operating point and `pump_factor` the total pump amplitude factor.
+/// coincidences oscillate at the second harmonic. `tb` is the (possibly
+/// fault-adjusted) time-bin operating point and `pump_factor` the total
+/// pump amplitude factor (`&config.timebin` and
+/// `config.four_fold_pump_factor` for the fault-free run).
 /// Public as the fringe shard body of the campaign decomposition (drive
 /// it with `seed.wrapping_add(1)` and the plan's `tb4`/`pump4` to match
 /// the single-process run).
@@ -331,27 +289,8 @@ pub struct FourPhotonTomography {
 }
 
 /// Runs T4: 81-setting four-qubit tomography of the (noisy) four-photon
-/// state, reconstructed with MLE.
-pub fn run_four_photon_tomography(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> FourPhotonTomography {
-    let mut health = HealthReport::pristine();
-    match try_four_photon_tomography(
-        source,
-        config,
-        seed,
-        &config.timebin,
-        config.four_fold_pump_factor,
-        &mut health,
-    ) {
-        Ok(t) => t,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Parameterized T4 body with the MLE-divergence fallback. Public as
+/// state, reconstructed with MLE and the MLE-divergence fallback;
+/// `tb`/`pump_factor` as in [`try_four_photon_fringe`]. Public as
 /// the tomography shard body of the campaign decomposition (drive it
 /// with `seed.wrapping_add(2)` and the plan's `tb4`/`pump4`; the caller
 /// supplies a health record — a shard passes a pristine local one and
@@ -534,8 +473,7 @@ impl MultiPhotonReport {
 /// supervision that produced it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiPhotonRun {
-    /// The physics report (identical to the legacy API when the fault
-    /// schedule is empty).
+    /// The physics results.
     pub report: MultiPhotonReport,
     /// What went wrong and what the supervisor did about it.
     pub health: HealthReport,
@@ -645,19 +583,7 @@ pub fn plan_multiphoton_experiment(
     })
 }
 
-/// Runs the full §V suite.
-pub fn run_multiphoton_experiment(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> MultiPhotonReport {
-    match try_run_multiphoton_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible, fault-aware form of [`run_multiphoton_experiment`].
+/// Runs the full §V suite under a fault schedule.
 ///
 /// The §V suite is frame-based like §IV, so faults enter as pure
 /// modifiers of the per-frame probabilities: pump faults and lock-loss
@@ -666,8 +592,8 @@ pub fn run_multiphoton_experiment(
 /// dropouts thin the arm efficiencies. The four-photon runs additionally
 /// fall back from MLE to linear inversion when the reconstruction fails
 /// to converge. The RNG draw sequence is untouched by an empty schedule,
-/// which therefore reproduces the panicking API bit for bit at any
-/// thread count.
+/// which therefore gives the fault-free run bit for bit at any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -738,9 +664,40 @@ mod tests {
         QfcSource::paper_device_timebin()
     }
 
+    /// The clean-run T3 stage: every channel at the nominal §IV point.
+    fn bell_tomography(config: &MultiPhotonConfig, seed: u64) -> Vec<BellTomographyResult> {
+        let channels: Vec<u32> = (1..=config.timebin.channels).collect();
+        let op = BellOperatingPoint {
+            duration_s: nominal_duration_s(&config.timebin),
+            amp: 1.0,
+        };
+        let mut health = HealthReport::pristine();
+        try_run_bell_tomography(
+            &source(),
+            config,
+            seed,
+            &FaultSchedule::empty(),
+            op,
+            &channels,
+            &mut health,
+        )
+        .expect("clean run")
+    }
+
+    fn four_photon_fringe(config: &MultiPhotonConfig, seed: u64) -> FourPhotonFringe {
+        try_four_photon_fringe(
+            &source(),
+            config,
+            seed,
+            &config.timebin,
+            config.four_fold_pump_factor,
+        )
+        .expect("clean run")
+    }
+
     #[test]
     fn bell_tomography_confirms_entanglement() {
-        let results = run_bell_tomography(&source(), &MultiPhotonConfig::fast_demo(), 51);
+        let results = bell_tomography(&MultiPhotonConfig::fast_demo(), 51);
         for b in &results {
             assert!(b.fidelity > 0.8, "m={}: F = {}", b.m, b.fidelity);
             assert!(b.concurrence > 0.5, "m={}: C = {}", b.m, b.concurrence);
@@ -749,7 +706,7 @@ mod tests {
 
     #[test]
     fn four_photon_visibility_near_paper() {
-        let fringe = run_four_photon_fringe(&source(), &MultiPhotonConfig::fast_demo(), 52);
+        let fringe = four_photon_fringe(&MultiPhotonConfig::fast_demo(), 52);
         assert!(
             (fringe.visibility - 0.89).abs() < 0.08,
             "V4 = {}",
@@ -759,7 +716,7 @@ mod tests {
 
     #[test]
     fn four_photon_fringe_has_pi_period() {
-        let fringe = run_four_photon_fringe(&source(), &MultiPhotonConfig::fast_demo(), 53);
+        let fringe = four_photon_fringe(&MultiPhotonConfig::fast_demo(), 53);
         // The scan covers one π period; max and min must both occur.
         let max = fringe.points.iter().map(|p| p.1).max().expect("points");
         let min = fringe.points.iter().map(|p| p.1).min().expect("points");
@@ -768,7 +725,17 @@ mod tests {
 
     #[test]
     fn four_photon_tomography_fidelity_near_paper() {
-        let tomo = run_four_photon_tomography(&source(), &MultiPhotonConfig::fast_demo(), 54);
+        let cfg = MultiPhotonConfig::fast_demo();
+        let mut health = HealthReport::pristine();
+        let tomo = try_four_photon_tomography(
+            &source(),
+            &cfg,
+            54,
+            &cfg.timebin,
+            cfg.four_fold_pump_factor,
+            &mut health,
+        )
+        .expect("clean run");
         assert!(
             (tomo.fidelity - 0.64).abs() < 0.12,
             "F4 = {}",
@@ -779,22 +746,24 @@ mod tests {
 
     #[test]
     fn report_rows_pass() {
-        let report = run_multiphoton_experiment(&source(), &MultiPhotonConfig::fast_demo(), 55);
+        let report = try_run_multiphoton_experiment(
+            &source(),
+            &MultiPhotonConfig::fast_demo(),
+            55,
+            &FaultSchedule::empty(),
+        )
+        .expect("clean run")
+        .report;
         let rows = report.to_report();
         assert!(rows.all_pass(), "{}", rows.render());
     }
 
     #[test]
-    fn empty_schedule_matches_legacy_run() {
+    fn empty_schedule_leaves_health_pristine() {
         let cfg = MultiPhotonConfig::fast_demo();
-        let legacy = run_multiphoton_experiment(&source(), &cfg, 55);
         let run = try_run_multiphoton_experiment(&source(), &cfg, 55, &FaultSchedule::empty())
             .expect("clean run");
         assert!(run.health.is_pristine(), "{}", run.health.render());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
     }
 
     #[test]

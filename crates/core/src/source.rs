@@ -184,19 +184,8 @@ impl QfcSource {
     }
 
     /// Generated cross-polarized pair flux (pairs/s) on channel `m` for
-    /// the §III bichromatic pump.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pump is not bichromatic or `m == 0`.
-    pub fn type2_pair_rate(&self, m: u32) -> f64 {
-        match self.try_type2_pair_rate(m) {
-            Ok(r) => r,
-            Err(e) => panic!("type2_pair_rate requires the bichromatic pump ({e})"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-        }
-    }
-
-    /// Fallible form of [`Self::type2_pair_rate`].
+    /// the §III bichromatic pump: returns [`QfcError::RegimeMismatch`]
+    /// when the pump is not bichromatic.
     pub fn try_type2_pair_rate(&self, m: u32) -> QfcResult<f64> {
         match self.pump {
             PumpConfig::BichromaticOrthogonal { power_te, power_tm } => {
@@ -298,7 +287,7 @@ mod tests {
     #[test]
     fn type2_rate_positive_at_2mw() {
         let src = QfcSource::paper_device_type2();
-        let r = src.type2_pair_rate(1);
+        let r = src.try_type2_pair_rate(1).expect("bichromatic pump");
         assert!(r > 0.05 && r < 100.0, "rate {r}");
     }
 

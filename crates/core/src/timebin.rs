@@ -310,7 +310,7 @@ impl SlotScanPoint {
 /// [`qfc_interferometry::analysis`], detected with the per-arm
 /// efficiency, and binned by joint arrival slot; dark coincidences land
 /// in the middle/middle cell. Slower but assumption-free — used to
-/// cross-validate the analytic fringe of [`run_timebin_experiment`].
+/// cross-validate the analytic fringe of [`try_run_timebin_experiment`].
 pub fn run_timebin_event_mc(
     source: &QfcSource,
     config: &TimeBinConfig,
@@ -391,19 +391,6 @@ impl TimeBinRun {
 /// of the `phase_steps` fringe points and the 16 CHSH projector cells.
 pub fn nominal_duration_s(config: &TimeBinConfig) -> f64 {
     cast::to_f64(config.frames_per_point) * (cast::to_f64(config.phase_steps) + 16.0) / FRAME_RATE_HZ
-}
-
-/// Runs the §IV virtual experiment: fringe scans and CHSH on every
-/// channel pair.
-pub fn run_timebin_experiment(
-    source: &QfcSource,
-    config: &TimeBinConfig,
-    seed: u64,
-) -> TimeBinReport {
-    match try_run_timebin_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
 }
 
 /// The RNG-free planning stage of the §IV run: supervisor outcomes plus
@@ -569,14 +556,15 @@ pub fn timebin_channel_task(
     (fringe, chsh)
 }
 
-/// Fallible, fault-aware form of [`run_timebin_experiment`].
+/// Runs the §IV virtual experiment under a fault schedule: fringe scans
+/// and CHSH on every channel pair.
 ///
 /// The §IV driver is frame-based, so faults enter as pure modifiers of
 /// the per-frame probabilities: pump faults and lock-loss outages scale
 /// `μ`, phase jumps offset the pump phase, dark bursts raise the
 /// accidental floor, and sub-quarantine detector dropouts thin the arm
 /// efficiency. The RNG draw sequence is untouched, so an empty schedule
-/// reproduces the panicking API bit for bit at any thread count.
+/// gives the fault-free run, bit for bit at any thread count.
 ///
 /// # Errors
 ///
@@ -627,6 +615,12 @@ mod tests {
         QfcSource::paper_device_timebin()
     }
 
+    fn clean_run(config: &TimeBinConfig, seed: u64) -> TimeBinReport {
+        try_run_timebin_experiment(&source(), config, seed, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    }
+
     #[test]
     fn state_model_visibility_budget() {
         let cfg = TimeBinConfig::paper();
@@ -642,7 +636,7 @@ mod tests {
 
     #[test]
     fn fringe_visibility_near_paper_value() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 41);
+        let report = clean_run(&TimeBinConfig::fast_demo(), 41);
         for f in &report.fringes {
             assert!(
                 (f.fit.visibility - 0.83).abs() < 0.08,
@@ -655,7 +649,7 @@ mod tests {
 
     #[test]
     fn chsh_violated_on_all_channels() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 42);
+        let report = clean_run(&TimeBinConfig::fast_demo(), 42);
         assert_eq!(report.channels_violating(), report.chsh.len());
         for c in &report.chsh {
             assert!(c.s_value > 2.0, "m={}: S = {}", c.m, c.s_value);
@@ -665,7 +659,7 @@ mod tests {
 
     #[test]
     fn fringe_oscillates_through_minimum() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 43);
+        let report = clean_run(&TimeBinConfig::fast_demo(), 43);
         let f = &report.fringes[0];
         let max = f.points.iter().map(|p| p.1).max().expect("points");
         let min = f.points.iter().map(|p| p.1).min().expect("points");
@@ -674,7 +668,7 @@ mod tests {
 
     #[test]
     fn report_rows_pass() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 44);
+        let report = clean_run(&TimeBinConfig::fast_demo(), 44);
         let rows = report.to_report();
         assert!(rows.all_pass(), "{}", rows.render());
     }
@@ -689,24 +683,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "phase steps")]
     fn too_few_steps_rejected() {
         let mut cfg = TimeBinConfig::fast_demo();
         cfg.phase_steps = 3;
-        let _ = run_timebin_experiment(&source(), &cfg, 1);
+        let err =
+            try_run_timebin_experiment(&source(), &cfg, 1, &FaultSchedule::empty()).unwrap_err();
+        assert!(matches!(err, QfcError::InvalidParameter { .. }), "{err}");
+        assert!(err.to_string().contains("phase steps"), "{err}");
     }
 
     #[test]
-    fn empty_schedule_matches_legacy_run() {
+    fn empty_schedule_leaves_health_pristine() {
         let cfg = TimeBinConfig::fast_demo();
-        let legacy = run_timebin_experiment(&source(), &cfg, 47);
         let run = try_run_timebin_experiment(&source(), &cfg, 47, &FaultSchedule::empty())
             .expect("clean run");
         assert!(run.health.is_pristine());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
     }
 
     #[test]

@@ -156,8 +156,8 @@ fn campaign_crate_cannot_be_carved_out_of_the_clippy_roster() {
     .expect("lib.rs");
     fs::create_dir_all(root.join("scripts")).expect("scripts dir");
 
-    // The roster derives dynamically but carves qfc-campaign out with the
-    // same exclusion idiom ci.sh uses for qfc-bench: ci-roster must fire.
+    // The roster derives dynamically but carves qfc-campaign out with an
+    // exclusion branch in the roster loop: ci-roster must fire.
     fs::write(
         root.join("scripts/ci.sh"),
         "#!/usr/bin/env bash\ncargo run -p qfc-lint -- --deny\n\

@@ -2,9 +2,10 @@
 //! exponential coincidence decays (→ linewidth), interference fringes
 //! (→ visibility), and power laws (→ OPO threshold slopes).
 //!
-//! Every fit exists in two forms: a fallible `try_*` function returning
-//! [`FitError`] on degenerate input, and the original panicking wrapper
-//! kept for call sites where a failure is a programming error.
+//! Every fit is a fallible `try_*` function returning [`FitError`] on
+//! degenerate input. [`fit_fringe`], [`fit_fringe_harmonic`] and
+//! [`fit_power_law`] keep panicking wrappers because infallible drivers
+//! (the §IV fringe scan and the §III power sweep) reach them.
 
 use crate::cast;
 use serde::{Deserialize, Serialize};
@@ -46,7 +47,21 @@ pub struct LinearFit {
     pub r_squared: f64,
 }
 
-/// Fallible form of [`fit_linear`].
+/// Fits `y = slope·x + intercept` by ordinary least squares.
+///
+/// # Errors
+///
+/// [`FitError::LengthMismatch`] if the lengths differ,
+/// [`FitError::InsufficientData`] for fewer than two points.
+///
+/// ```
+/// use qfc_mathkit::fit::try_fit_linear;
+/// let f = try_fit_linear(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0])?;
+/// assert!((f.slope - 2.0).abs() < 1e-12);
+/// assert!((f.intercept - 1.0).abs() < 1e-12);
+/// assert!((f.r_squared - 1.0).abs() < 1e-12);
+/// # Ok::<(), qfc_mathkit::fit::FitError>(())
+/// ```
 pub fn try_fit_linear(x: &[f64], y: &[f64]) -> Result<LinearFit, FitError> {
     if x.len() != y.len() {
         return Err(FitError::LengthMismatch);
@@ -91,26 +106,6 @@ pub fn try_fit_linear(x: &[f64], y: &[f64]) -> Result<LinearFit, FitError> {
     })
 }
 
-/// Fits `y = slope·x + intercept` by ordinary least squares.
-///
-/// # Panics
-///
-/// Panics if fewer than two points are given or lengths differ.
-///
-/// ```
-/// use qfc_mathkit::fit::fit_linear;
-/// let f = fit_linear(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0]);
-/// assert!((f.slope - 2.0).abs() < 1e-12);
-/// assert!((f.intercept - 1.0).abs() < 1e-12);
-/// assert!((f.r_squared - 1.0).abs() < 1e-12);
-/// ```
-pub fn fit_linear(x: &[f64], y: &[f64]) -> LinearFit {
-    match try_fit_linear(x, y) {
-        Ok(f) => f,
-        Err(e) => panic!("fit_linear: {e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
 /// Result of an exponential-decay fit `y(t) = amplitude · e^{−t/tau}`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExponentialFit {
@@ -122,7 +117,7 @@ pub struct ExponentialFit {
     pub r_squared: f64,
 }
 
-/// Fallible form of [`fit_exponential_decay`].
+/// Fits an exponential decay via weighted log-linear least squares.
 ///
 /// Points with `y <= 0` are ignored (they carry no logarithmic
 /// information); each retained point is weighted by `y`, the
@@ -174,18 +169,6 @@ pub fn try_fit_exponential_decay(t: &[f64], y: &[f64]) -> Result<ExponentialFit,
         tau: -1.0 / slope,
         r_squared,
     })
-}
-
-/// Fits an exponential decay via weighted log-linear least squares.
-///
-/// # Panics
-///
-/// Panics if fewer than two positive points remain.
-pub fn fit_exponential_decay(t: &[f64], y: &[f64]) -> ExponentialFit {
-    match try_fit_exponential_decay(t, y) {
-        Ok(f) => f,
-        Err(e) => panic!("fit_exponential_decay: {e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
 }
 
 /// Result of a sinusoidal fringe fit
@@ -389,7 +372,7 @@ mod tests {
     fn linear_fit_exact() {
         let x = [0.0, 1.0, 2.0, 3.0];
         let y = [-1.0, 1.0, 3.0, 5.0];
-        let f = fit_linear(&x, &y);
+        let f = try_fit_linear(&x, &y).expect("fit");
         assert!((f.slope - 2.0).abs() < 1e-12);
         assert!((f.intercept + 1.0).abs() < 1e-12);
         assert!((f.r_squared - 1.0).abs() < 1e-12);
@@ -399,7 +382,7 @@ mod tests {
     fn linear_fit_noisy_r2_below_one() {
         let x = [0.0, 1.0, 2.0, 3.0, 4.0];
         let y = [0.1, 0.9, 2.2, 2.8, 4.1];
-        let f = fit_linear(&x, &y);
+        let f = try_fit_linear(&x, &y).expect("fit");
         assert!(f.r_squared > 0.97 && f.r_squared < 1.0);
     }
 
@@ -408,7 +391,7 @@ mod tests {
         let tau = 1.45e-9;
         let t: Vec<f64> = (0..50).map(|i| i as f64 * 0.1e-9).collect();
         let y: Vec<f64> = t.iter().map(|&tv| 1000.0 * (-tv / tau).exp()).collect();
-        let f = fit_exponential_decay(&t, &y);
+        let f = try_fit_exponential_decay(&t, &y).expect("fit");
         assert!((f.tau - tau).abs() / tau < 1e-6, "tau {}", f.tau);
         assert!((f.amplitude - 1000.0).abs() < 1e-3);
     }
@@ -418,7 +401,7 @@ mod tests {
         let t = [0.0, 1.0, 2.0, 3.0];
         let y = [8.0, 4.0, 0.0, 1.0];
         // Zero point dropped; fit still through the three positive points.
-        let f = fit_exponential_decay(&t, &y);
+        let f = try_fit_exponential_decay(&t, &y).expect("fit");
         assert!(f.tau > 0.0);
     }
 
@@ -474,9 +457,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
     fn linear_fit_length_mismatch() {
-        let _ = fit_linear(&[1.0], &[1.0, 2.0]);
+        let err = try_fit_linear(&[1.0], &[1.0, 2.0]).unwrap_err();
+        assert_eq!(err, FitError::LengthMismatch);
+        assert_eq!(err.to_string(), "length mismatch");
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl EigenDecomposition {
 /// `Cyclic` visits every off-diagonal element in order each sweep;
 /// `Threshold` skips pivots already below the current sweep threshold,
 /// which saves rotations on nearly-diagonal matrices. Both converge to the
-/// same decomposition; the ablation bench `ablation_eigen` compares them.
+/// same decomposition; the tests below cross-check them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum JacobiStrategy {
     /// Rotate at every off-diagonal pivot, every sweep.

@@ -150,11 +150,15 @@ where
 mod tests {
     use super::*;
     use crate::counts::simulate_counts;
-    use crate::reconstruct::linear_reconstruction;
+    use crate::reconstruct::try_linear_reconstruction;
     use crate::settings::all_settings;
     use qfc_mathkit::rng::rng_from_seed;
     use qfc_quantum::bell::{bell_phi_plus, werner_state};
     use qfc_quantum::fidelity::fidelity_with_pure;
+
+    fn linear_reconstruction(data: &TomographyData) -> DensityMatrix {
+        try_linear_reconstruction(data).expect("reconstruction")
+    }
 
     #[test]
     fn resample_preserves_totals() {

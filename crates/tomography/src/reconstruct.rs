@@ -4,7 +4,7 @@
 //! Linear inversion is unbiased but can return unphysical (negative-
 //! eigenvalue) matrices at finite counts; the paper-standard pipeline is
 //! the iterative RρR maximum-likelihood algorithm, which stays in the
-//! physical cone. The ablation bench `ablation_tomography` compares them.
+//! physical cone. `qfc_core::ablation::tomography_ablation` compares them.
 
 use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
@@ -23,26 +23,17 @@ use crate::settings::{pauli_string_matrix, PauliBasis, ProjectorSet};
 /// averaged over every compatible measurement setting.
 ///
 /// The result may have (slightly) negative eigenvalues at finite counts;
-/// pair with [`project_physical`] when a valid state is required.
+/// pair with [`try_project_physical`] when a valid state is required.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the data is empty or settings are inconsistent.
-pub fn linear_inversion(data: &TomographyData) -> CMatrix {
-    match try_linear_inversion(data) {
-        Ok(rho) => rho,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible form of [`linear_inversion`]: returns
 /// [`QfcError::InsufficientData`] for informationally incomplete data
 /// (including an empty or mixed-arity setting list, which the
 /// Pauli-string compatibility zip below would otherwise silently
-/// truncate) instead of panicking.
+/// truncate).
 pub fn try_linear_inversion(data: &TomographyData) -> QfcResult<CMatrix> {
     data.validate()?;
-    let n = data.qubits();
+    let n = data.try_qubits()?;
     let dim = 1usize << n;
     let mut rho = CMatrix::zeros(dim, dim);
     // Enumerate all 4ⁿ Pauli strings as base-4 digits:
@@ -102,19 +93,10 @@ pub fn try_linear_inversion(data: &TomographyData) -> QfcResult<CMatrix> {
 /// Projects a Hermitian matrix onto the physical state space: clips
 /// negative eigenvalues and renormalizes the trace to 1.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the projected trace vanishes.
-pub fn project_physical(mat: &CMatrix) -> DensityMatrix {
-    match try_project_physical(mat) {
-        Ok(rho) => rho,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible form of [`project_physical`]: reports a vanishing projected
-/// trace (or a non-Hermitian input the density-matrix constructor
-/// rejects) instead of panicking.
+/// Reports a vanishing projected trace (or a non-Hermitian input the
+/// density-matrix constructor rejects).
 pub fn try_project_physical(mat: &CMatrix) -> QfcResult<DensityMatrix> {
     let p = psd_projection(mat);
     let tr = p.trace().re;
@@ -295,24 +277,12 @@ impl Deserialize for MleResult {
 /// should build a [`ProjectorSet`] once and call
 /// [`try_mle_reconstruction_with`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on degenerate data (empty or mixed-arity setting list, zero
-/// total events, a trace-annihilating or non-finite update) — use
-/// [`try_mle_reconstruction`] to handle those as errors.
-pub fn mle_reconstruction(data: &TomographyData, options: &MleOptions) -> MleResult {
-    match try_mle_reconstruction(data, options) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible form of [`mle_reconstruction`]: returns
 /// [`QfcError::InsufficientData`] for an empty or mixed-arity setting
 /// list, [`QfcError::SingularSystem`] for all-dark data (zero grand
 /// total) or a trace-annihilating update, and [`QfcError::NonFinite`]
-/// when the iteration produces a non-finite update norm — instead of
-/// panicking deep inside the iteration.
+/// when the iteration produces a non-finite update norm.
 pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> QfcResult<MleResult> {
     data.validate()?;
     try_mle_reconstruction_with(&ProjectorSet::new(&data.settings), data, options)
@@ -569,11 +539,10 @@ pub(crate) fn run_rrr<P: Copy, K: RrrKernel<P>>(
 
 /// Convenience: full pipeline from data to a physical state via linear
 /// inversion + projection (the fast path).
-pub fn linear_reconstruction(data: &TomographyData) -> DensityMatrix {
-    project_physical(&linear_inversion(data))
-}
-
-/// Fallible form of [`linear_reconstruction`].
+///
+/// # Errors
+///
+/// As [`try_linear_inversion`] and [`try_project_physical`].
 pub fn try_linear_reconstruction(data: &TomographyData) -> QfcResult<DensityMatrix> {
     try_project_physical(&try_linear_inversion(data)?)
 }
@@ -598,7 +567,7 @@ mod tests {
     fn linear_inversion_exact_single_qubit() {
         let rho = DensityMatrix::from_pure(&PureState::plus());
         let data = exact_counts(&rho, &all_settings(1), 10_000_000);
-        let rec = linear_inversion(&data);
+        let rec = try_linear_inversion(&data).expect("reconstruction");
         assert!(rec.approx_eq(rho.as_matrix(), 1e-4));
     }
 
@@ -606,7 +575,8 @@ mod tests {
     fn linear_inversion_exact_bell_state() {
         let rho = DensityMatrix::from_pure(&bell_phi_plus());
         let data = exact_counts(&rho, &all_settings(2), 10_000_000);
-        let rec = project_physical(&linear_inversion(&data));
+        let rec = try_project_physical(&try_linear_inversion(&data).expect("reconstruction"))
+            .expect("projection");
         let f = state_fidelity(&rec, &rho);
         assert!(f > 0.999, "F = {f}");
     }
@@ -616,7 +586,7 @@ mod tests {
         let mut rng = rng_from_seed(31);
         let rho = werner_state(0.83, 0.0);
         let data = simulate_counts(&mut rng, &rho, &all_settings(2), 4000);
-        let result = mle_reconstruction(&data, &MleOptions::default());
+        let result = try_mle_reconstruction(&data, &MleOptions::default()).expect("reconstruction");
         let f = state_fidelity(&result.rho, &rho);
         assert!(f > 0.99, "F = {f}");
         assert!(result.rho.is_physical(1e-9));
@@ -627,8 +597,10 @@ mod tests {
         let mut rng = rng_from_seed(32);
         let truth = werner_state(0.9, 0.3);
         let data = simulate_counts(&mut rng, &truth, &all_settings(2), 60);
-        let lin = linear_reconstruction(&data);
-        let mle = mle_reconstruction(&data, &MleOptions::default()).rho;
+        let lin = try_linear_reconstruction(&data).expect("reconstruction");
+        let mle = try_mle_reconstruction(&data, &MleOptions::default())
+            .expect("reconstruction")
+            .rho;
         let f_lin = state_fidelity(&lin, &truth);
         let f_mle = state_fidelity(&mle, &truth);
         // MLE should not be (much) worse; both should be decent.
@@ -641,7 +613,7 @@ mod tests {
         let mut rng = rng_from_seed(33);
         let rho = DensityMatrix::from_pure(&PureState::plus());
         let data = simulate_counts(&mut rng, &rho, &all_settings(1), 5000);
-        let result = mle_reconstruction(&data, &MleOptions::default());
+        let result = try_mle_reconstruction(&data, &MleOptions::default()).expect("reconstruction");
         assert!(result.iterations < 300, "iterations {}", result.iterations);
         assert!(result.final_update < 1e-8);
         assert!(result.converged);
@@ -658,7 +630,7 @@ mod tests {
             tolerance: 1e-30,
             ..MleOptions::default()
         };
-        let result = mle_reconstruction(&data, &opts);
+        let result = try_mle_reconstruction(&data, &opts).expect("reconstruction");
         assert!(!result.converged);
     }
 
@@ -777,7 +749,7 @@ mod tests {
         let mut rng = rng_from_seed(40);
         let rho = werner_state(0.83, 0.0);
         let data = simulate_counts(&mut rng, &rho, &all_settings(2), 500);
-        let result = mle_reconstruction(&data, &MleOptions::default());
+        let result = try_mle_reconstruction(&data, &MleOptions::default()).expect("reconstruction");
         assert_eq!(result.accelerated_steps, 0);
         // The serialized form must not mention the field, so classic
         // results stay byte-identical to the historical format.
@@ -823,7 +795,7 @@ mod tests {
         use qfc_mathkit::complex::C_ONE;
         // diag(1.2, −0.2): Hermitian, trace 1, not PSD.
         let bad = CMatrix::diag(&[C_ONE.scale(1.2), C_ONE.scale(-0.2)]);
-        let fixed = project_physical(&bad);
+        let fixed = try_project_physical(&bad).expect("projection");
         assert!(fixed.is_physical(1e-10));
         assert!((fixed.as_matrix().trace().re - 1.0).abs() < 1e-10);
         assert_eq!(element(&fixed, 1, 1).re, 0.0);
@@ -834,18 +806,22 @@ mod tests {
         let mut rng = rng_from_seed(34);
         let rho = werner_state(0.7, 0.0);
         let data = simulate_counts(&mut rng, &rho, &all_settings(2), 20_000);
-        let rec = linear_reconstruction(&data);
+        let rec = try_linear_reconstruction(&data).expect("reconstruction");
         let f = state_fidelity(&rec, &rho);
         assert!(f > 0.995, "F = {f}");
     }
 
     #[test]
-    #[should_panic(expected = "informationally incomplete")]
     fn incomplete_data_detected() {
         use crate::settings::{PauliBasis, Setting};
         let rho = DensityMatrix::from_pure(&PureState::plus());
         // Only Z measured: X and Y strings uncovered.
         let data = exact_counts(&rho, &[Setting::from_bases(&[PauliBasis::Z])], 1000);
-        let _ = linear_inversion(&data);
+        let err = try_linear_inversion(&data).unwrap_err();
+        assert!(matches!(err, QfcError::InsufficientData { .. }), "{err}");
+        assert!(
+            err.to_string().contains("informationally incomplete"),
+            "{err}"
+        );
     }
 }

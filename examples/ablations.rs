@@ -10,8 +10,9 @@ use qfc::core::heralded::StabilityConfig;
 use qfc::core::multiphoton::pump_trade_scan;
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::TimeBinConfig;
+use qfc::faults::QfcError;
 
-fn main() {
+fn main() -> Result<(), QfcError> {
     println!("== Pump scheme (the §II claim: why self-locking matters) ==");
     println!("{:<24} {:>16} {:>18}", "scheme", "fluctuation", "active hardware?");
     for row in pump_scheme_ablation(&StabilityConfig::paper(), 2017) {
@@ -28,7 +29,7 @@ fn main() {
         "{:>16} {:>16} {:>14} {:>10} {:>14} {:>10}",
         "shots/setting", "linear F", "MLE F", "MLE it", "accel F", "accel it"
     );
-    for row in tomography_ablation(&[10, 30, 100, 300, 1000, 10_000], 2018) {
+    for row in tomography_ablation(&[10, 30, 100, 300, 1000, 10_000], 2018)? {
         println!(
             "{:>16} {:>16.4} {:>14.4} {:>10} {:>14.4} {:>10}",
             row.shots_per_setting,
@@ -42,7 +43,7 @@ fn main() {
 
     println!("\n== Coincidence window (capture vs accidentals) ==");
     println!("{:>14} {:>12} {:>18}", "window (ps)", "CAR", "coinc rate (Hz)");
-    for row in window_ablation(&[250, 1000, 4000, 8000, 16_000, 64_000], 2019) {
+    for row in window_ablation(&[250, 1000, 4000, 8000, 16_000, 64_000], 2019)? {
         println!(
             "{:>14} {:>12.1} {:>18.3}",
             row.window_ps, row.car, row.coincidence_rate_hz
@@ -74,4 +75,5 @@ fn main() {
          practical while the pair fidelity is still ~0.84, which after\n\
          squaring (two pairs) and white noise lands the 0.64 fidelity."
     );
+    Ok(())
 }

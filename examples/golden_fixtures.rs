@@ -11,10 +11,11 @@
 use std::fs;
 use std::path::Path;
 
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{run_four_photon_tomography, MultiPhotonConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{try_four_photon_tomography, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
+use qfc::faults::{FaultSchedule, HealthReport};
 use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::tomography::bootstrap::bootstrap_functional;
@@ -23,7 +24,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{mle_reconstruction, MleAcceleration, MleOptions};
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleAcceleration, MleOptions};
 use qfc::tomography::settings::all_settings;
 
 fn write_fixture(dir: &Path, name: &str, json: &str) {
@@ -52,7 +53,7 @@ fn main() {
     write_fixture(&dir, "tomography_counts.json", &serde_json::to_string(&data).expect("json"));
 
     // MLE RρR reconstruction of those counts.
-    let mle = mle_reconstruction(&data, &MleOptions::default());
+    let mle = try_mle_reconstruction(&data, &MleOptions::default()).expect("reconstruction");
     write_fixture(&dir, "mle_reconstruction.json", &serde_json::to_string(&mle).expect("json"));
 
     // The same counts under the likelihood-gated accelerated schedule.
@@ -60,7 +61,7 @@ fn main() {
         acceleration: MleAcceleration::accelerated(),
         ..MleOptions::default()
     };
-    let mle_accel = mle_reconstruction(&data, &accel_opts);
+    let mle_accel = try_mle_reconstruction(&data, &accel_opts).expect("reconstruction");
     write_fixture(&dir, "mle_accelerated.json", &serde_json::to_string(&mle_accel).expect("json"));
 
     // Rank-1 + packed-GEMM qudit MLE (the large-d fast path). This is a
@@ -110,7 +111,11 @@ fn main() {
         23,
         &data,
         6,
-        |d| mle_reconstruction(d, &opts).rho,
+        |d| {
+            try_mle_reconstruction(d, &opts)
+                .expect("reconstruction")
+                .rho
+        },
         |rho| fidelity_with_pure(rho, &target),
     );
     write_fixture(&dir, "bootstrap_mle.json", &serde_json::to_string(&boot).expect("json"));
@@ -120,10 +125,26 @@ fn main() {
     let mut hc = HeraldedConfig::fast_demo();
     hc.duration_s = 1.0;
     hc.channels = 2;
-    let heralded = run_heralded_experiment(&source, &hc, 7);
-    write_fixture(&dir, "heralded.json", &serde_json::to_string(&heralded).expect("json"));
+    let heralded = try_run_heralded_experiment(&source, &hc, 7, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
+    write_fixture(
+        &dir,
+        "heralded.json",
+        &serde_json::to_string(&heralded).expect("json"),
+    );
 
     // §V four-photon tomography: 81-setting counts + dim-16 MLE.
-    let four = run_four_photon_tomography(&tb_source, &MultiPhotonConfig::fast_demo(), 13);
+    let mp = MultiPhotonConfig::fast_demo();
+    let mut health = HealthReport::pristine();
+    let four = try_four_photon_tomography(
+        &tb_source,
+        &mp,
+        13,
+        &mp.timebin,
+        mp.four_fold_pump_factor,
+        &mut health,
+    )
+    .expect("clean run");
     write_fixture(&dir, "four_photon.json", &serde_json::to_string(&four).expect("json"));
 }

@@ -7,20 +7,21 @@
 //! ```
 
 use qfc::core::heralded::{
-    run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig,
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
 };
 use qfc::core::source::QfcSource;
+use qfc::faults::{FaultSchedule, QfcError};
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::units::Power;
 
-fn main() {
+fn main() -> Result<(), QfcError> {
     let source = QfcSource::paper_device();
     let config = HeraldedConfig::paper();
     println!(
         "Running §II at 15 mW self-locked pump, {} channels, {} s integration…",
         config.channels, config.duration_s
     );
-    let report = run_heralded_experiment(&source, &config, 7);
+    let report = try_run_heralded_experiment(&source, &config, 7, &FaultSchedule::empty())?.report;
 
     println!("\n== F1 coincidence matrix (signal row × idler column, counts) ==");
     print!("        ");
@@ -88,4 +89,5 @@ fn main() {
 
     println!("\n{}", report.to_report().render());
     println!("{}", locked.to_report().render());
+    Ok(())
 }

@@ -5,11 +5,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
 use qfc::core::source::QfcSource;
+use qfc::faults::{FaultSchedule, QfcError};
 use qfc::photonics::waveguide::Polarization;
 
-fn main() {
+fn main() -> Result<(), QfcError> {
     // The integrated quantum frequency comb of Reimer et al. (DATE 2017):
     // a Hydex microring with 200-GHz FSR and 110-MHz linewidth.
     let source = QfcSource::paper_device();
@@ -36,7 +37,13 @@ fn main() {
     }
 
     println!("\n== Fast heralded-photon run (SNSPD demo detectors) ==");
-    let report = run_heralded_experiment(&source, &HeraldedConfig::fast_demo(), 2026);
+    let report = try_run_heralded_experiment(
+        &source,
+        &HeraldedConfig::fast_demo(),
+        2026,
+        &FaultSchedule::empty(),
+    )?
+    .report;
     for c in &report.channels {
         println!(
             "m = {}: pair rate {:>6.1} Hz inferred, coincidences {:>6.2} Hz, CAR {:>6.1}",
@@ -48,4 +55,5 @@ fn main() {
         report.linewidth.linewidth_hz / 1e6
     );
     println!("\n{}", report.to_report().render());
+    Ok(())
 }

@@ -6,17 +6,18 @@
 //! ```
 
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_event_mc, run_timebin_experiment, TimeBinConfig};
+use qfc::core::timebin::{run_timebin_event_mc, try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::{FaultSchedule, QfcError};
 use qfc::quantum::chsh::TSIRELSON_BOUND;
 
-fn main() {
+fn main() -> Result<(), QfcError> {
     let source = QfcSource::paper_device_timebin();
     let config = TimeBinConfig::paper();
     println!(
         "Running §IV double-pulse pumping, {} channels, {} phase points…",
         config.channels, config.phase_steps
     );
-    let report = run_timebin_experiment(&source, &config, 23);
+    let report = try_run_timebin_experiment(&source, &config, 23, &FaultSchedule::empty())?.report;
 
     println!("\n== F7 two-photon interference fringes ==");
     for f in &report.fringes {
@@ -77,4 +78,5 @@ fn main() {
     }
 
     println!("{}", report.to_report().render());
+    Ok(())
 }

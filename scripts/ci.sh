@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, every workspace crate's tests, workspace
-# static analysis (qfc-lint), per-crate lints, and a seconds-scale bench
-# smoke run that cross-checks serial vs parallel determinism. Run from
-# the repository root.
+# Tier-1 gate: release build, every workspace crate's tests, the
+# EXPERIMENTS.md drift check, workspace static analysis (qfc-lint),
+# per-crate lints, and a seconds-scale bench smoke run that cross-checks
+# serial vs parallel determinism. Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +11,12 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> EXPERIMENTS.md drift check (full_reproduction output byte-identity)"
+# The committed paper-vs-measured record must be exactly what the code
+# prints: any physics-table change shows up as a reviewed diff.
+cargo run --release --example full_reproduction > target/EXPERIMENTS.md
+cmp EXPERIMENTS.md target/EXPERIMENTS.md
 
 echo "==> qfc-lint --deny (workspace static analysis)"
 cargo run --release -p qfc-lint -- --deny
@@ -28,17 +34,15 @@ echo "==> cargo clippy -p qfc-runtime -- -D warnings"
 cargo clippy -p qfc-runtime -- -D warnings
 
 # Library crates must not panic via unwrap/expect: every fallible path
-# either returns a QfcError or panics through a validated legacy wrapper.
-# The roster is derived from crates/*/ so a new crate cannot skip the
-# gate by omission (qfc-lint's ci-roster rule cross-checks this file).
+# returns a QfcError (the few panicking wrappers left are explicit
+# `panic!`s that carry a reviewed qfc-lint allow). The roster is derived
+# from crates/*/ so a new crate cannot skip the gate by omission
+# (qfc-lint's ci-roster rule cross-checks this file).
 echo "==> cargo clippy (library no-unwrap gate)"
 roster=()
 for d in crates/*/; do
   name="$(sed -n 's/^name = "\(.*\)"/\1/p' "$d/Cargo.toml" | head -n1)"
-  # qfc-bench is a binary crate (no library target to gate).
-  if [ "$name" != "qfc-bench" ]; then
-    roster+=(-p "$name")
-  fi
+  roster+=(-p "$name")
 done
 cargo clippy --no-deps --lib "${roster[@]}" \
   -- -D warnings -D clippy::unwrap_used -D clippy::expect_used

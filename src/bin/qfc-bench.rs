@@ -66,11 +66,11 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use qfc::campaign::{run_campaign, CampaignOptions, TimeBinCampaign};
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{run_four_photon_tomography, MultiPhotonConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{try_four_photon_tomography, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
-use qfc::faults::FaultSchedule;
+use qfc::faults::{FaultSchedule, HealthReport};
 use qfc::mathkit::rng::rng_from_seed;
 use qfc::photonics::opo;
 use qfc::photonics::ring::Microring;
@@ -88,9 +88,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{
-    mle_reconstruction, try_mle_reconstruction, MleAcceleration, MleOptions,
-};
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleAcceleration, MleOptions};
 use qfc::tomography::settings::all_settings;
 use qfc::tomography::stream::try_stream_counts_seeded;
 
@@ -379,10 +377,18 @@ fn run(
             cfg.linewidth_pairs = 40_000;
         }
         let shots = cfg.linewidth_pairs as u64;
-        workloads.push(bench_workload("heralded", threads, shots, unvalidated, scaling, || {
-            let report = run_heralded_experiment(&source, &cfg, 7);
-            serde_json::to_string(&report).expect("report serializes")
-        }));
+        workloads.push(bench_workload(
+            "heralded",
+            threads,
+            shots,
+            unvalidated,
+            scaling,
+            || {
+                let run = try_run_heralded_experiment(&source, &cfg, 7, &FaultSchedule::empty())
+                    .expect("clean run");
+                serde_json::to_string(&run.report).expect("report serializes")
+            },
+        ));
     }
 
     // §IV event-based time-bin Monte Carlo: full slot-resolved Franson
@@ -410,10 +416,26 @@ fn run(
         let mut cfg = MultiPhotonConfig::fast_demo();
         cfg.four_shots_per_setting = if smoke { 40 } else { 20_000 };
         let shots = cfg.four_shots_per_setting * 81;
-        workloads.push(bench_workload("four-photon-tomography", threads, shots, unvalidated, scaling, || {
-            let tomo = run_four_photon_tomography(&source, &cfg, 13);
-            serde_json::to_string(&tomo).expect("tomography serializes")
-        }));
+        workloads.push(bench_workload(
+            "four-photon-tomography",
+            threads,
+            shots,
+            unvalidated,
+            scaling,
+            || {
+                let mut health = HealthReport::pristine();
+                let tomo = try_four_photon_tomography(
+                    &source,
+                    &cfg,
+                    13,
+                    &cfg.timebin,
+                    cfg.four_fold_pump_factor,
+                    &mut health,
+                )
+                .expect("clean run");
+                serde_json::to_string(&tomo).expect("tomography serializes")
+            },
+        ));
     }
 
     // Streaming tomography: the 81 four-qubit settings' histograms are
@@ -448,16 +470,27 @@ fn run(
         let data = simulate_counts_seeded(&truth, &settings, shots_per_setting, 17);
         let target = bell_phi_plus();
         let shots = replicas as u64 * data.settings.len() as u64 * shots_per_setting;
-        workloads.push(bench_workload("bootstrap-mle", threads, shots, unvalidated, scaling, || {
-            let est = bootstrap_functional(
-                17,
-                &data,
-                replicas,
-                |d| mle_reconstruction(d, &MleOptions::default()).rho,
-                |rho| fidelity_with_pure(rho, &target),
-            );
-            serde_json::to_string(&est).expect("estimate serializes")
-        }));
+        workloads.push(bench_workload(
+            "bootstrap-mle",
+            threads,
+            shots,
+            unvalidated,
+            scaling,
+            || {
+                let est = bootstrap_functional(
+                    17,
+                    &data,
+                    replicas,
+                    |d| {
+                        try_mle_reconstruction(d, &MleOptions::default())
+                            .expect("reconstruction")
+                            .rho
+                    },
+                    |rho| fidelity_with_pure(rho, &target),
+                );
+                serde_json::to_string(&est).expect("estimate serializes")
+            },
+        ));
     }
 
     // Campaign engine overhead: a sharded §IV run driven end-to-end

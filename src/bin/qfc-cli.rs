@@ -17,16 +17,16 @@
 
 use std::process::ExitCode;
 
-use qfc::core::crosspol::{run_crosspol_experiment, run_power_sweep, CrossPolConfig};
+use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig,
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
 };
-use qfc::core::multiphoton::{run_multiphoton_experiment, MultiPhotonConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::purity::{run_purity_analysis, PurityConfig};
 use qfc::core::report::ExperimentReport;
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_experiment, TimeBinConfig};
-use qfc::faults::{QfcError, QfcResult};
+use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::{FaultSchedule, QfcError, QfcResult};
 use qfc::photonics::waveguide::Polarization;
 
 struct Options {
@@ -66,7 +66,9 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             } else {
                 HeraldedConfig::paper()
             };
-            let report = run_heralded_experiment(&source, &cfg, opts.seed);
+            let report =
+                try_run_heralded_experiment(&source, &cfg, opts.seed, &FaultSchedule::empty())?
+                    .report;
             emit(&report.to_report(), opts)?;
             Ok(())
         }
@@ -86,7 +88,9 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             if opts.fast {
                 cfg.duration_s = 30.0;
             }
-            let report = run_crosspol_experiment(&source, &cfg, opts.seed);
+            let report =
+                try_run_crosspol_experiment(&source, &cfg, opts.seed, &FaultSchedule::empty())?
+                    .report;
             emit(&report.to_report(), opts)?;
             Ok(())
         }
@@ -103,7 +107,9 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             } else {
                 TimeBinConfig::paper()
             };
-            let report = run_timebin_experiment(&source, &cfg, opts.seed);
+            let report =
+                try_run_timebin_experiment(&source, &cfg, opts.seed, &FaultSchedule::empty())?
+                    .report;
             emit(&report.to_report(), opts)?;
             Ok(())
         }
@@ -114,7 +120,9 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             } else {
                 MultiPhotonConfig::paper()
             };
-            let report = run_multiphoton_experiment(&source, &cfg, opts.seed);
+            let report =
+                try_run_multiphoton_experiment(&source, &cfg, opts.seed, &FaultSchedule::empty())?
+                    .report;
             emit(&report.to_report(), opts)?;
             Ok(())
         }

@@ -16,10 +16,11 @@
 use std::fs;
 use std::path::PathBuf;
 
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{run_four_photon_tomography, MultiPhotonConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{try_four_photon_tomography, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
+use qfc::faults::{FaultSchedule, HealthReport};
 use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::tomography::bootstrap::bootstrap_functional;
@@ -28,7 +29,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{mle_reconstruction, MleAcceleration, MleOptions};
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleAcceleration, MleOptions};
 use qfc::tomography::settings::all_settings;
 
 fn golden(name: &str) -> String {
@@ -85,7 +86,7 @@ fn tomography_counts_match_pre_rework_bytes() {
 fn mle_reconstruction_matches_pre_rework_bytes() {
     let truth = werner_state(0.83, 0.0);
     let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
-    let mle = mle_reconstruction(&data, &MleOptions::default());
+    let mle = try_mle_reconstruction(&data, &MleOptions::default()).expect("reconstruction");
     assert_bytes_match(
         "mle_reconstruction.json",
         &serde_json::to_string(&mle).expect("json"),
@@ -100,7 +101,7 @@ fn mle_accelerated_matches_pinned_bytes() {
         acceleration: MleAcceleration::accelerated(),
         ..MleOptions::default()
     };
-    let mle = mle_reconstruction(&data, &opts);
+    let mle = try_mle_reconstruction(&data, &opts).expect("reconstruction");
     assert!(mle.accelerated_steps > 0, "schedule never over-relaxed");
     assert_bytes_match(
         "mle_accelerated.json",
@@ -122,7 +123,11 @@ fn bootstrap_mle_matches_pre_rework_bytes() {
         23,
         &data,
         6,
-        |d| mle_reconstruction(d, &opts).rho,
+        |d| {
+            try_mle_reconstruction(d, &opts)
+                .expect("reconstruction")
+                .rho
+        },
         |rho| fidelity_with_pure(rho, &target),
     );
     assert_bytes_match(
@@ -205,13 +210,28 @@ fn heralded_pipeline_matches_pre_rework_bytes() {
     let mut cfg = HeraldedConfig::fast_demo();
     cfg.duration_s = 1.0;
     cfg.channels = 2;
-    let report = run_heralded_experiment(&source, &cfg, 7);
-    assert_bytes_match("heralded.json", &serde_json::to_string(&report).expect("json"));
+    let report = try_run_heralded_experiment(&source, &cfg, 7, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
+    assert_bytes_match(
+        "heralded.json",
+        &serde_json::to_string(&report).expect("json"),
+    );
 }
 
 #[test]
 fn four_photon_tomography_matches_pre_rework_bytes() {
     let source = QfcSource::paper_device_timebin();
-    let four = run_four_photon_tomography(&source, &MultiPhotonConfig::fast_demo(), 13);
+    let cfg = MultiPhotonConfig::fast_demo();
+    let mut health = HealthReport::pristine();
+    let four = try_four_photon_tomography(
+        &source,
+        &cfg,
+        13,
+        &cfg.timebin,
+        cfg.four_fold_pump_factor,
+        &mut health,
+    )
+    .expect("clean run");
     assert_bytes_match("four_photon.json", &serde_json::to_string(&four).expect("json"));
 }

@@ -4,12 +4,12 @@
 //! count is an implementation detail: one thread, four threads, and the
 //! ambient default all produce byte-identical serialized reports.
 
-use qfc::core::crosspol::{run_crosspol_experiment, CrossPolConfig};
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::run_bell_tomography;
-use qfc::core::multiphoton::MultiPhotonConfig;
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{bell_channel_task, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_experiment, TimeBinConfig};
+use qfc::core::timebin::{nominal_duration_s, try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::FaultSchedule;
 use qfc::runtime::with_threads;
 
 #[test]
@@ -21,8 +21,12 @@ fn heralded_experiment_is_deterministic() {
         c.linewidth_pairs = 2000;
         c
     };
-    let a = run_heralded_experiment(&source, &cfg, 777);
-    let b = run_heralded_experiment(&source, &cfg, 777);
+    let a = try_run_heralded_experiment(&source, &cfg, 777, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
+    let b = try_run_heralded_experiment(&source, &cfg, 777, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
     assert_eq!(a.coincidence_matrix, b.coincidence_matrix);
     for (ca, cb) in a.channels.iter().zip(&b.channels) {
         assert_eq!(ca.car.to_bits(), cb.car.to_bits());
@@ -43,8 +47,12 @@ fn different_seeds_differ() {
     let mut cfg = HeraldedConfig::fast_demo();
     cfg.duration_s = 2.0;
     cfg.linewidth_pairs = 2000;
-    let a = run_heralded_experiment(&source, &cfg, 1);
-    let b = run_heralded_experiment(&source, &cfg, 2);
+    let a = try_run_heralded_experiment(&source, &cfg, 1, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
+    let b = try_run_heralded_experiment(&source, &cfg, 2, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
     assert_ne!(a.coincidence_matrix, b.coincidence_matrix);
 }
 
@@ -53,8 +61,12 @@ fn crosspol_experiment_is_deterministic() {
     let source = QfcSource::paper_device_type2();
     let mut cfg = CrossPolConfig::fast_demo();
     cfg.duration_s = 10.0;
-    let a = run_crosspol_experiment(&source, &cfg, 99);
-    let b = run_crosspol_experiment(&source, &cfg, 99);
+    let a = try_run_crosspol_experiment(&source, &cfg, 99, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
+    let b = try_run_crosspol_experiment(&source, &cfg, 99, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
     assert_eq!(a.car.to_bits(), b.car.to_bits());
     assert_eq!(a.te_singles_hz.to_bits(), b.te_singles_hz.to_bits());
 }
@@ -75,7 +87,11 @@ fn heralded_report_identical_across_thread_counts() {
     let mut cfg = HeraldedConfig::fast_demo();
     cfg.duration_s = 2.0;
     cfg.linewidth_pairs = 2000;
-    assert_thread_invariant(|| run_heralded_experiment(&source, &cfg, 4242));
+    assert_thread_invariant(|| {
+        try_run_heralded_experiment(&source, &cfg, 4242, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    });
 }
 
 #[test]
@@ -83,7 +99,11 @@ fn timebin_report_identical_across_thread_counts() {
     let source = QfcSource::paper_device_timebin();
     let mut cfg = TimeBinConfig::fast_demo();
     cfg.frames_per_point = 500_000;
-    assert_thread_invariant(|| run_timebin_experiment(&source, &cfg, 4243));
+    assert_thread_invariant(|| {
+        try_run_timebin_experiment(&source, &cfg, 4243, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    });
 }
 
 #[test]
@@ -91,7 +111,16 @@ fn bell_tomography_identical_across_thread_counts() {
     let source = QfcSource::paper_device_timebin();
     let mut cfg = MultiPhotonConfig::fast_demo();
     cfg.bell_shots_per_setting = 200;
-    assert_thread_invariant(|| run_bell_tomography(&source, &cfg, 4244));
+    let channels: Vec<u32> = (1..=cfg.timebin.channels).collect();
+    let duration_s = nominal_duration_s(&cfg.timebin);
+    let schedule = FaultSchedule::empty();
+    // The §V T3 stage: one tomography task per channel on the worker pool.
+    assert_thread_invariant(|| {
+        qfc::runtime::par_map(&channels, |&m| {
+            bell_channel_task(&source, &cfg, 4244, &schedule, duration_s, 1.0, m)
+                .expect("clean run")
+        })
+    });
 }
 
 #[test]
@@ -100,8 +129,12 @@ fn timebin_experiment_is_deterministic() {
     let mut cfg = TimeBinConfig::fast_demo();
     cfg.channels = 1;
     cfg.frames_per_point = 1_000_000;
-    let a = run_timebin_experiment(&source, &cfg, 5);
-    let b = run_timebin_experiment(&source, &cfg, 5);
+    let a = try_run_timebin_experiment(&source, &cfg, 5, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
+    let b = try_run_timebin_experiment(&source, &cfg, 5, &FaultSchedule::empty())
+        .expect("clean run")
+        .report;
     assert_eq!(a.fringes[0].points, b.fringes[0].points);
     assert_eq!(a.chsh[0].s_value.to_bits(), b.chsh[0].s_value.to_bits());
 }

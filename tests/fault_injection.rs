@@ -1,8 +1,9 @@
 //! Contract tests of the fault-injection layer, driver by driver:
 //!
-//! * an **empty** fault schedule reproduces the legacy panicking APIs
-//!   byte for byte (serialized-report equality), so the fallible layer
-//!   costs nothing when nothing goes wrong;
+//! * an **empty** fault schedule leaves the health record pristine, and
+//!   its report is byte-identical (serialized-report equality) to a run
+//!   whose schedule holds only campaign-layer faults, which every physics
+//!   query ignores — so the fault layer costs nothing when nothing lands;
 //! * fault-injected runs are **deterministic across thread counts**
 //!   (1, 4, and the ambient default), because every fault query is a
 //!   pure function of the schedule and every recovery draw comes from
@@ -12,16 +13,12 @@
 //! * arbitrary seeded schedules never produce NaN figures of merit
 //!   (property test over the stress-schedule family).
 
-use qfc::core::crosspol::{run_crosspol_experiment, try_run_crosspol_experiment, CrossPolConfig};
-use qfc::core::heralded::{run_heralded_experiment, try_run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{
-    run_multiphoton_experiment, try_run_multiphoton_experiment, MultiPhotonConfig,
-};
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::supervisor;
-use qfc::core::timebin::{
-    nominal_duration_s, run_timebin_experiment, try_run_timebin_experiment, TimeBinConfig,
-};
+use qfc::core::timebin::{nominal_duration_s, try_run_timebin_experiment, TimeBinConfig};
 use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, QfcError};
 use qfc::runtime::with_threads;
 
@@ -56,20 +53,40 @@ fn multiphoton_cfg() -> MultiPhotonConfig {
 }
 
 // ---------------------------------------------------------------------
-// Empty schedule ⇒ byte-identical to the legacy panicking APIs.
+// Empty schedule ⇒ pristine, and byte-identical to a schedule of
+// campaign-only faults (the physics drivers never see those).
 // ---------------------------------------------------------------------
+
+/// Shard-level faults only: the campaign engine acts on these, every
+/// physics query ignores them.
+fn campaign_only_schedule() -> FaultSchedule {
+    FaultSchedule::from_events(vec![
+        FaultEvent::new(0.0, 1.0, FaultKind::ShardAbort { shard: 0 }),
+        FaultEvent::new(
+            0.0,
+            1.0,
+            FaultKind::ShardExecutorFault {
+                shard: 1,
+                failures: 2,
+            },
+        ),
+        FaultEvent::new(0.0, 1.0, FaultKind::CheckpointCorruption { shard: 0 }),
+        FaultEvent::new(0.0, 1.0, FaultKind::CheckpointStale { shard: 1 }),
+    ])
+}
 
 #[test]
 fn empty_schedule_is_byte_identical_heralded() {
     let source = QfcSource::paper_device();
     let cfg = heralded_cfg();
-    let legacy = run_heralded_experiment(&source, &cfg, 777);
     let run = try_run_heralded_experiment(&source, &cfg, 777, &FaultSchedule::empty())
         .expect("clean run");
     assert!(run.health.is_pristine());
+    let ignored = try_run_heralded_experiment(&source, &cfg, 777, &campaign_only_schedule())
+        .expect("campaign faults are invisible to the driver");
     assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
         serde_json::to_string(&run.report).unwrap(),
+        serde_json::to_string(&ignored.report).unwrap(),
     );
 }
 
@@ -77,13 +94,14 @@ fn empty_schedule_is_byte_identical_heralded() {
 fn empty_schedule_is_byte_identical_crosspol() {
     let source = QfcSource::paper_device_type2();
     let cfg = crosspol_cfg();
-    let legacy = run_crosspol_experiment(&source, &cfg, 99);
     let run =
         try_run_crosspol_experiment(&source, &cfg, 99, &FaultSchedule::empty()).expect("clean run");
     assert!(run.health.is_pristine());
+    let ignored = try_run_crosspol_experiment(&source, &cfg, 99, &campaign_only_schedule())
+        .expect("campaign faults are invisible to the driver");
     assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
         serde_json::to_string(&run.report).unwrap(),
+        serde_json::to_string(&ignored.report).unwrap(),
     );
 }
 
@@ -91,13 +109,14 @@ fn empty_schedule_is_byte_identical_crosspol() {
 fn empty_schedule_is_byte_identical_timebin() {
     let source = QfcSource::paper_device_timebin();
     let cfg = timebin_cfg();
-    let legacy = run_timebin_experiment(&source, &cfg, 4243);
-    let run =
-        try_run_timebin_experiment(&source, &cfg, 4243, &FaultSchedule::empty()).expect("clean run");
+    let run = try_run_timebin_experiment(&source, &cfg, 4243, &FaultSchedule::empty())
+        .expect("clean run");
     assert!(run.health.is_pristine());
+    let ignored = try_run_timebin_experiment(&source, &cfg, 4243, &campaign_only_schedule())
+        .expect("campaign faults are invisible to the driver");
     assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
         serde_json::to_string(&run.report).unwrap(),
+        serde_json::to_string(&ignored.report).unwrap(),
     );
 }
 
@@ -105,13 +124,14 @@ fn empty_schedule_is_byte_identical_timebin() {
 fn empty_schedule_is_byte_identical_multiphoton() {
     let source = QfcSource::paper_device_timebin();
     let cfg = multiphoton_cfg();
-    let legacy = run_multiphoton_experiment(&source, &cfg, 55);
     let run = try_run_multiphoton_experiment(&source, &cfg, 55, &FaultSchedule::empty())
         .expect("clean run");
     assert!(run.health.is_pristine());
+    let ignored = try_run_multiphoton_experiment(&source, &cfg, 55, &campaign_only_schedule())
+        .expect("campaign faults are invisible to the driver");
     assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
         serde_json::to_string(&run.report).unwrap(),
+        serde_json::to_string(&ignored.report).unwrap(),
     );
 }
 

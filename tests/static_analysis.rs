@@ -38,10 +38,10 @@ fn workspace_is_lint_clean_at_deny_level() {
     );
     // The allow budget is capped: the semantic engine exists to *shrink*
     // the excuse surface, so the directive count must never creep back
-    // above the current total of 48.
+    // above the current total of 33.
     assert!(
-        report.allows_total <= 48,
-        "allow-directive budget exceeded: {} > 48",
+        report.allows_total <= 33,
+        "allow-directive budget exceeded: {} > 33",
         report.allows_total
     );
     // The call graph is populated and the panic audit is live.
