@@ -17,9 +17,8 @@
 //! arithmetic is deterministic, so the batch output is byte-identical
 //! (f64 bit pattern) to a point-by-point reference loop; the `*_scalar`
 //! twins in this module *are* that reference loop, and the contract is
-//! enforced by unit tests here, property tests in `tests/determinism.rs`,
-//! and the `ring-dispersion-sweep` / `opo-threshold-sweep` workloads of
-//! `qfc-bench`.
+//! enforced by unit tests here and property tests in
+//! `tests/determinism.rs`.
 //!
 //! Grids are chunked across the worker pool via
 //! [`qfc_runtime::par_chunks`] with a fixed [`SWEEP_CHUNK`] layout, so

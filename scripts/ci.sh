@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, every workspace crate's tests, the
 # EXPERIMENTS.md drift check, workspace static analysis (qfc-lint),
-# per-crate lints, and a seconds-scale bench smoke run that cross-checks
-# serial vs parallel determinism. Run from the repository root.
+# per-crate lints, and the campaign-recovery and fault-matrix smoke runs.
+# Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,9 +30,6 @@ cmp target/CALLGRAPH.json target/CALLGRAPH.2.json
 cmp target/LINT_REPORT.json target/LINT_REPORT.2.json
 rm -f target/LINT_REPORT.2.json target/CALLGRAPH.2.json
 
-echo "==> cargo clippy -p qfc-runtime -- -D warnings"
-cargo clippy -p qfc-runtime -- -D warnings
-
 # Library crates must not panic via unwrap/expect: every fallible path
 # returns a QfcError (the few panicking wrappers left are explicit
 # `panic!`s that carry a reviewed qfc-lint allow). The roster is derived
@@ -46,24 +43,6 @@ for d in crates/*/; do
 done
 cargo clippy --no-deps --lib "${roster[@]}" \
   -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
-
-echo "==> qfc-bench --smoke --check-baseline (determinism + bench-regression gate)"
-# Fails when any workload loses serial/parallel byte-identity, allocates
-# more than 10 % (+64 calls) beyond the committed baseline's serial leg,
-# or slows down by more than the --max-slowdown factor plus a 50 ms
-# absolute slack (generous: wall time is machine-dependent and ms-scale
-# workloads sit in fs/scheduler noise; allocation counts are not).
-./target/release/qfc-bench --smoke --check-baseline BENCH_baseline.json \
-  --max-slowdown 4.0 --out target/BENCH_smoke.json
-if grep -q '"oversubscribed": true' target/BENCH_smoke.json; then
-  echo "WARNING: bench ran more threads than host CPUs; speedup figures" \
-       "are oversubscription noise (only the determinism check is valid)." >&2
-fi
-if grep -q '"parallel_unvalidated": true' target/BENCH_smoke.json; then
-  echo "WARNING: parallel leg unvalidated (single-CPU host or --threads 1);" \
-       "speedup factors are meaningless — only byte-identity and the" \
-       "allocation columns were checked." >&2
-fi
 
 echo "==> campaign crash-recovery smoke (abort -> resume -> byte-identity)"
 # Kills a sharded campaign mid-run via an injected shard abort, resumes it

@@ -181,6 +181,12 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
 }
 
 fn main() -> ExitCode {
+    // Reject a bad QFC_THREADS before any work runs; the library alone
+    // would only warn and fall back to every core.
+    if let Err(e) = qfc::runtime::try_max_threads() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Options {
         seed: 20170327,

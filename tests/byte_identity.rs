@@ -21,6 +21,7 @@ use qfc::core::multiphoton::{try_four_photon_tomography, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
 use qfc::faults::{FaultSchedule, HealthReport};
+use qfc::obs::{Collector, SpanData};
 use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::tomography::bootstrap::bootstrap_functional;
@@ -169,9 +170,12 @@ fn qudit_rank1_mle_bytes_invariant_across_thread_counts() {
     }
 }
 
-/// Mirror of the rank-1 sweep's private `PAR_SWEEP_MIN_WORK`: below
-/// `pairs·d²` of this size the R build runs as one serial chunk.
-const PAR_SWEEP_MIN_WORK: usize = 1 << 15;
+/// Total entries into spans called `name` anywhere below `span`.
+fn span_calls(span: &SpanData, name: &str) -> u64 {
+    let own = if span.name == name { span.calls } else { 0 };
+    let below: u64 = span.children.iter().map(|c| span_calls(c, name)).sum();
+    own + below
+}
 
 /// The `qudit_mle_rank1_accelerated.json` reconstruction: the rank-1
 /// path under the accelerated schedule, at d = 16 with 12 bases so the
@@ -181,17 +185,22 @@ fn qudit_rank1_accelerated_json() -> String {
     let bases = deterministic_bases(16, 12, 31).expect("bases");
     let set = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
     let counts = exact_counts_repr(&truth, &set, 1_000_000).expect("counts");
-    let pairs = counts.iter().flatten().filter(|&&c| c > 0).count();
-    assert!(
-        pairs * 16 * 16 >= PAR_SWEEP_MIN_WORK,
-        "{pairs} pairs at d = 16 stay below the parallel sweep threshold"
-    );
     let opts = MleOptions {
         max_iterations: 80,
         tolerance: 1e-9,
         acceleration: MleAcceleration::accelerated(),
     };
-    let mle = try_mle_repr(&set, &counts, &opts).expect("rank-1 MLE");
+    let collector = Collector::new();
+    let mle = collector
+        .install(|| try_mle_repr(&set, &counts, &opts))
+        .expect("rank-1 MLE");
+    // Below the sweep grain the R build runs as one serial chunk and
+    // never enters the worker pool, so a dispatch proves the fixture
+    // exercises the chunked parallel sweep.
+    assert!(
+        span_calls(&collector.snapshot().spans, "runtime.execute") > 0,
+        "the rank-1 R sweep never dispatched: the fixture is below the parallel grain"
+    );
     assert!(mle.accelerated_steps > 0, "schedule never over-relaxed");
     serde_json::to_string(&mle).expect("json")
 }

@@ -1,8 +1,8 @@
 //! Determinism: every experiment is bit-for-bit reproducible from its
 //! seed, different seeds vary only statistically, and — because all
 //! shot-based loops run on the fixed-shard worker pool — the thread
-//! count is an implementation detail: one thread, four threads, and the
-//! ambient default all produce byte-identical serialized reports.
+//! count is an implementation detail: one, four and eight threads and
+//! the ambient default all produce byte-identical serialized reports.
 
 use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
@@ -10,7 +10,10 @@ use qfc::core::multiphoton::{bell_channel_task, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{nominal_duration_s, try_run_timebin_experiment, TimeBinConfig};
 use qfc::faults::FaultSchedule;
+use qfc::mathkit::rng::rng_from_seed;
 use qfc::runtime::with_threads;
+use qfc::timetag::coincidence::cross_correlation_histogram;
+use qfc::timetag::hbt::poissonian_stream;
 
 #[test]
 fn heralded_experiment_is_deterministic() {
@@ -71,13 +74,15 @@ fn crosspol_experiment_is_deterministic() {
     assert_eq!(a.te_singles_hz.to_bits(), b.te_singles_hz.to_bits());
 }
 
-/// Runs `f` at one worker, four workers, and the ambient thread count,
-/// and asserts the three serialized outputs are byte-identical.
+/// Runs `f` at one, four and eight workers and at the ambient thread
+/// count, and asserts the four serialized outputs are byte-identical.
 fn assert_thread_invariant<T: serde::Serialize>(f: impl Fn() -> T + Sync) {
     let serial = serde_json::to_string(&with_threads(1, &f)).unwrap();
-    let four = serde_json::to_string(&with_threads(4, &f)).unwrap();
+    for threads in [4, 8] {
+        let parallel = serde_json::to_string(&with_threads(threads, &f)).unwrap();
+        assert_eq!(serial, parallel, "1 vs {threads} threads");
+    }
     let ambient = serde_json::to_string(&f()).unwrap();
-    assert_eq!(serial, four, "1 vs 4 threads");
     assert_eq!(serial, ambient, "1 thread vs ambient");
 }
 
@@ -121,6 +126,16 @@ fn bell_tomography_identical_across_thread_counts() {
                 .expect("clean run")
         })
     });
+}
+
+#[test]
+fn coincidence_histogram_identical_across_thread_counts() {
+    // The §II time-resolved cross-correlation: a two-pointer sweep over
+    // sharded start tags.
+    let mut rng = rng_from_seed(19);
+    let a = poissonian_stream(&mut rng, 200_000.0, 0.5);
+    let b = poissonian_stream(&mut rng, 200_000.0, 0.5);
+    assert_thread_invariant(|| cross_correlation_histogram(&a, &b, 100_000, 50));
 }
 
 #[test]

@@ -130,3 +130,33 @@ fn all_reports_render_nonempty_tables() {
     assert!(text.contains("| F2"));
     assert!(text.lines().count() > 5);
 }
+
+/// `qfc-cli` validates `QFC_THREADS` before running anything: a zero or
+/// non-numeric override fails the process with the parse error instead
+/// of warning and falling back to every core.
+#[test]
+fn cli_rejects_invalid_qfc_threads() {
+    let run = |threads: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_qfc-cli"))
+            .arg("device")
+            .env("QFC_THREADS", threads)
+            .output()
+            .expect("qfc-cli starts")
+    };
+    for bad in ["0", "abc"] {
+        let out = run(bad);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "QFC_THREADS={bad} was accepted");
+        assert!(stderr.contains("QFC_THREADS"), "unhelpful error: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "QFC_THREADS={bad} ran the experiment"
+        );
+    }
+    let out = run("1");
+    assert!(
+        out.status.success(),
+        "QFC_THREADS=1 failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -137,18 +137,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Streaming accumulation reproduces the materializing path bit for
-    /// bit at 1, 4, and 8 worker threads.
+    /// bit at 1, 4, and 8 worker threads. The shot range straddles the
+    /// 1024-shots-per-setting grain, so both the serial loop and the
+    /// pooled branch of each count path are compared.
     #[test]
     fn streaming_counts_byte_identical_across_thread_counts(
         visibility in 0.5f64..1.0,
         dephasing in 0.0f64..0.3,
-        shots in 1u64..400,
+        shots in 1u64..4000,
         seed in 0u64..u64::MAX,
     ) {
         let truth = werner_state(visibility, dephasing);
         let settings = all_settings(2);
-        let reference = simulate_counts_seeded(&truth, &settings, shots, seed);
+        let reference = with_threads(1, || simulate_counts_seeded(&truth, &settings, shots, seed));
         for threads in [1usize, 4, 8] {
+            let materialized =
+                with_threads(threads, || simulate_counts_seeded(&truth, &settings, shots, seed));
+            prop_assert_eq!(
+                &materialized,
+                &reference,
+                "materializing path at {} threads drifted from 1 thread",
+                threads
+            );
             let streamed = with_threads(threads, || {
                 try_stream_counts_seeded(&truth, &settings, shots, seed)
             })
