@@ -177,7 +177,7 @@ pub struct FileSymbols {
 }
 
 /// Runtime entry points whose closure arguments run on the worker pool.
-pub const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "par_shots"];
+pub const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "par_chunks_into", "par_shots"];
 
 /// Identifiers that can directly precede `(` without being a call.
 fn is_call_keyword(name: &str) -> bool {

@@ -149,6 +149,13 @@ impl CMatrix {
         &self.data
     }
 
+    /// Flat row-major mutable view of the entries — for kernels that
+    /// scatter into precomputed offsets.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
+        &mut self.data
+    }
+
     /// Extracts row `i` as a vector.
     pub fn row(&self, i: usize) -> CVector {
         assert!(i < self.rows);

@@ -1,8 +1,9 @@
 //! Deterministic parallel execution engine for shot-based simulations.
 //!
 //! Every Monte-Carlo hot loop in the workspace runs through this crate's
-//! three entry points — [`par_map`], [`par_chunks`] and [`par_shots`] —
-//! which share one invariant: **results are bitwise-identical regardless
+//! entry points — [`par_map`], [`par_chunks`] (and its slot-writing
+//! form [`par_chunks_into`]) and [`par_shots`] — which share one
+//! invariant: **results are bitwise-identical regardless
 //! of how many worker threads execute them.**
 //!
 //! The invariant holds by construction:
@@ -30,6 +31,7 @@
 use qfc_mathkit::cast;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use qfc_mathkit::rng::split_seed;
 
@@ -286,6 +288,39 @@ where
     })
 }
 
+/// [`par_chunks`] with a caller-owned slot per chunk: the task for chunk
+/// `i` gets exclusive use of `slots[i]`, so per-chunk output buffers can
+/// live across calls instead of being allocated and returned by every
+/// task. The chunk layout is that of [`par_chunks`], and slot `i` only
+/// ever sees chunk `i`, so results are independent of the thread count.
+///
+/// # Panics
+///
+/// Panics if `chunk_size == 0` or `slots.len()` is not the chunk count.
+pub fn par_chunks_into<T, S, F>(items: &[T], chunk_size: usize, slots: &mut [S], f: F)
+where
+    T: Sync,
+    S: Send,
+    F: Fn(usize, &[T], &mut S) + Sync,
+{
+    assert!(
+        chunk_size > 0,
+        "par_chunks_into: chunk_size must be positive"
+    );
+    let n_chunks = items.len().div_ceil(chunk_size);
+    assert_eq!(slots.len(), n_chunks, "par_chunks_into: one slot per chunk");
+    // The mutexes only hand each `&mut` slot to whichever worker claims
+    // its task: every slot is locked once, by its own task, so a lock
+    // never waits and never sees another task's poison.
+    let slots: Vec<Mutex<&mut S>> = slots.iter_mut().map(Mutex::new).collect();
+    execute(n_chunks, |i| {
+        let start = i * chunk_size;
+        let end = (start + chunk_size).min(items.len());
+        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        f(i, &items[start..end], &mut slot);
+    });
+}
+
 /// One shard of a sharded shot loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
@@ -374,6 +409,30 @@ mod tests {
         assert_eq!(sums.last().unwrap(), &(10, (100..103).sum::<u64>()));
         let total: u64 = sums.iter().map(|(_, s)| s).sum();
         assert_eq!(total, items.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn par_chunks_into_writes_each_chunk_to_its_slot() {
+        let items: Vec<u64> = (0..103).collect();
+        let serial: Vec<(usize, u64)> =
+            par_chunks(&items, 10, |i, chunk| (i, chunk.iter().sum::<u64>()));
+        for threads in [1, 2, 4, 8] {
+            let mut slots = vec![(usize::MAX, 0u64); 11];
+            with_threads(threads, || {
+                par_chunks_into(&items, 10, &mut slots, |i, chunk, slot| {
+                    *slot = (i, chunk.iter().sum::<u64>());
+                });
+            });
+            assert_eq!(slots, serial, "thread count {threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one slot per chunk")]
+    fn par_chunks_into_needs_one_slot_per_chunk() {
+        let items = [1u64, 2, 3];
+        let mut slots = [0u64; 2];
+        par_chunks_into(&items, 2, &mut slots[..1], |_, _, _| {});
     }
 
     #[test]

@@ -42,7 +42,7 @@ use qfc_mathkit::cvector::CVector;
 use qfc_quantum::qudit::BipartiteQudit;
 
 use crate::reconstruct::{run_rrr, MleOptions, MleResult, RrrKernel, P_FLOOR};
-use crate::settings::Setting;
+use crate::settings::{try_common_qubits, Setting};
 
 /// Pairs per parallel sweep task. The chunk layout depends only on the
 /// pair count — never on the thread count — so the partial-`R` merge
@@ -139,25 +139,15 @@ impl ProjectorReprSet {
     /// [`QfcError::InsufficientData`] for an empty setting list,
     /// [`QfcError::InvalidParameter`] for mixed-arity settings.
     pub fn try_rank1_from_settings(settings: &[Setting]) -> QfcResult<Self> {
-        let first = settings.first().ok_or_else(|| QfcError::InsufficientData {
-            context: "rank-1 projector set needs at least one setting".to_owned(),
-        })?;
-        let n = first.qubits();
-        let mut reprs = Vec::with_capacity(settings.len());
-        for (s, setting) in settings.iter().enumerate() {
-            if setting.qubits() != n {
-                return Err(QfcError::invalid(format!(
-                    "mixed-arity setting list: setting {s} measures {} qubit(s) \
-                     but setting 0 measures {n}",
-                    setting.qubits()
-                )));
-            }
-            reprs.push(
+        let n = try_common_qubits(settings, "rank-1 projector set")?;
+        let reprs = settings
+            .iter()
+            .map(|setting| {
                 (0..setting.outcomes())
                     .map(|o| ProjectorRepr::Rank1(setting.outcome_vector(o)))
-                    .collect(),
-            );
-        }
+                    .collect()
+            })
+            .collect();
         Ok(Self { reprs, dim: 1 << n })
     }
 
@@ -408,11 +398,29 @@ pub fn exact_counts_repr(
     Ok(counts)
 }
 
-/// One sweep task: partial `R` and partial log-likelihood over a chunk
-/// of `(projector, frequency)` pairs against the current iterate. The
-/// partial `R` is authoritative only on its diagonal and upper triangle
-/// (rank-1 pairs skip the lower half); the R build mirrors once after
-/// the merge.
+/// Reusable buffers of the blocked fast path in [`sweep_chunk`]: kept
+/// across `R` builds, so a sweep allocates only while they grow to
+/// their first size.
+#[derive(Debug, Default)]
+struct SweepBufs<'a> {
+    vecs: Vec<&'a CVector>,
+    ps: Vec<f64>,
+    updates: Vec<(f64, &'a CVector)>,
+}
+
+/// One parallel sweep chunk's output and buffers.
+#[derive(Debug)]
+struct ChunkScratch<'a> {
+    r_part: CMatrix,
+    ll: f64,
+    bufs: SweepBufs<'a>,
+}
+
+/// One sweep task: overwrites `r_part` with the partial `R` of a chunk
+/// of `(projector, frequency)` pairs against the current iterate and
+/// returns the partial log-likelihood. The partial `R` is authoritative
+/// only on its diagonal and upper triangle (rank-1 pairs skip the lower
+/// half); the R build mirrors once after the merge.
 ///
 /// All-rank-1 chunks (the common case — sets built by the public
 /// constructors are homogeneous) take a blocked fast path: expectations
@@ -421,43 +429,55 @@ pub fn exact_counts_repr(
 /// `ρ` / `R`. Both batch kernels are bitwise identical to their
 /// per-pair forms and the log-likelihood is summed in pair order, so
 /// the fast path produces exactly the bits of the generic loop below.
-fn sweep_chunk(pairs: &[(&ProjectorRepr, f64)], rho: &CMatrix) -> (CMatrix, f64) {
-    let mut r_part = CMatrix::zeros(rho.rows(), rho.cols());
+fn sweep_chunk<'a>(
+    pairs: &[(&'a ProjectorRepr, f64)],
+    rho: &CMatrix,
+    r_part: &mut CMatrix,
+    bufs: &mut SweepBufs<'a>,
+) -> f64 {
+    r_part.fill_zero();
     let mut ll = 0.0;
-    let mut vecs: Vec<&CVector> = Vec::with_capacity(pairs.len());
+    let SweepBufs { vecs, ps, updates } = bufs;
+    vecs.clear();
     for &(repr, _) in pairs {
         if let ProjectorRepr::Rank1(v) = repr {
             vecs.push(v);
         }
     }
     if vecs.len() == pairs.len() {
-        let mut ps = vec![0.0f64; pairs.len()];
-        rho.quadratic_forms_hermitian(&vecs, &mut ps);
-        let mut updates: Vec<(f64, &CVector)> = Vec::with_capacity(pairs.len());
-        for ((&(_, f), p), &v) in pairs.iter().zip(&mut ps).zip(&vecs) {
+        ps.clear();
+        ps.resize(pairs.len(), 0.0);
+        rho.quadratic_forms_hermitian(vecs, ps);
+        updates.clear();
+        for ((&(_, f), p), &v) in pairs.iter().zip(ps.iter_mut()).zip(vecs.iter()) {
             *p = p.max(P_FLOOR);
             ll += f * p.ln();
             updates.push((f / *p, v));
         }
-        r_part.ger_hermitian_upper_batch(&updates);
-        return (r_part, ll);
+        r_part.ger_hermitian_upper_batch(updates);
+        return ll;
     }
     // qfc-lint: hot
     for &(repr, f) in pairs {
         let p = repr.expectation(rho).max(P_FLOOR);
         ll += f * p.ln();
-        repr.accumulate_scaled_upper(&mut r_part, f / p);
+        repr.accumulate_scaled_upper(r_part, f / p);
     }
-    (r_part, ll)
+    ll
 }
 
 /// Representation kernel of the RρR driver: the chunked parallel `R`
-/// sweep, packed-GEMM products, and bitwise-Hermitian iterates.
-struct ReprKernel {
+/// sweep, packed-GEMM products, and bitwise-Hermitian iterates. The
+/// sweep scratch lives here, so an `R` build reuses the previous
+/// build's buffers: one set for the serial sweep, and one per chunk for
+/// the parallel sweep.
+struct ReprKernel<'a> {
     gemm: GemmScratch,
+    serial: SweepBufs<'a>,
+    chunks: Vec<ChunkScratch<'a>>,
 }
 
-impl<'a> RrrKernel<&'a ProjectorRepr> for ReprKernel {
+impl<'a> RrrKernel<&'a ProjectorRepr> for ReprKernel<'a> {
     const LABEL: &'static str = "rank-1 ";
     const ITERATIONS_COUNTER: &'static str = "mle_rank1_iterations";
     const ACCELERATED_COUNTER: &'static str = "mle_rank1_accelerated_steps";
@@ -480,22 +500,36 @@ impl<'a> RrrKernel<&'a ProjectorRepr> for ReprKernel {
     ) -> f64 {
         let dim = rho.rows();
         let ll = if pairs.len() * dim * dim >= PAR_SWEEP_MIN_WORK {
-            let partials = qfc_runtime::par_chunks(pairs, SWEEP_CHUNK_PAIRS, |_, chunk| {
-                sweep_chunk(chunk, rho)
-            });
+            let n_chunks = pairs.len().div_ceil(SWEEP_CHUNK_PAIRS);
+            if self.chunks.len() != n_chunks {
+                self.chunks = (0..n_chunks)
+                    .map(|_| ChunkScratch {
+                        r_part: CMatrix::zeros(dim, dim),
+                        ll: 0.0,
+                        bufs: SweepBufs::default(),
+                    })
+                    .collect();
+            }
+            qfc_runtime::par_chunks_into(
+                pairs,
+                SWEEP_CHUNK_PAIRS,
+                &mut self.chunks,
+                |_, chunk, scratch| {
+                    scratch.ll = sweep_chunk(chunk, rho, &mut scratch.r_part, &mut scratch.bufs);
+                },
+            );
             r.fill_zero();
             let mut ll = 0.0;
-            for (r_part, ll_part) in &partials {
-                r.add_scaled_assign(r_part, 1.0);
-                ll += *ll_part;
+            for scratch in &self.chunks {
+                r.add_scaled_assign(&scratch.r_part, 1.0);
+                ll += scratch.ll;
             }
             ll
         } else {
             // Below the grain threshold the dispatch overhead beats the
-            // win: one serial chunk (still the same kernels).
-            let (r_part, ll) = sweep_chunk(pairs, rho);
-            r.copy_from(&r_part);
-            ll
+            // win: one serial chunk (still the same kernels), swept
+            // straight into `r`.
+            sweep_chunk(pairs, rho, r, &mut self.serial)
         };
         r.hermitianize_upper();
         ll
@@ -567,6 +601,8 @@ pub fn try_mle_repr(
     }
     let mut kernel = ReprKernel {
         gemm: GemmScratch::new(),
+        serial: SweepBufs::default(),
+        chunks: Vec::new(),
     };
     run_rrr(&mut kernel, counts, |s, o| set.repr(s, o), dim, options)
 }
@@ -576,7 +612,7 @@ mod tests {
     use super::*;
     use crate::counts::exact_counts;
     use crate::reconstruct::MleAcceleration;
-    use crate::settings::{all_settings, ProjectorSet};
+    use crate::settings::all_settings;
     use qfc_quantum::bell::werner_state;
     use qfc_quantum::fidelity::state_fidelity;
 
@@ -584,15 +620,14 @@ mod tests {
     fn rank1_set_matches_dense_projectors() {
         let settings = all_settings(2);
         let set = ProjectorReprSet::try_rank1_from_settings(&settings).expect("build");
-        let dense = ProjectorSet::new(&settings);
         assert_eq!(set.dim(), 4);
         assert_eq!(set.settings(), 9);
-        for s in 0..settings.len() {
+        for (s, setting) in settings.iter().enumerate() {
             assert_eq!(set.outcomes(s), 4);
             for o in 0..4 {
                 let outer = set.repr(s, o).to_dense_matrix();
                 assert!(
-                    outer.approx_eq(dense.projector(s, o), 1e-13),
+                    outer.approx_eq(&setting.outcome_projector(o), 1e-13),
                     "setting {s} outcome {o}"
                 );
             }

@@ -16,7 +16,7 @@ use qfc_mathkit::hermitian::psd_projection;
 use qfc_quantum::density::DensityMatrix;
 
 use crate::counts::TomographyData;
-use crate::settings::{pauli_string_matrix, PauliBasis, ProjectorSet};
+use crate::settings::{pauli_string_matrix, PauliBasis, ProjectorEntry, ProjectorSet};
 
 /// Reconstructs a Hermitian unit-trace matrix by Pauli-basis linear
 /// inversion: `ρ = 2⁻ⁿ Σ_s ⟨σ_s⟩ σ_s`, with each Pauli-string expectation
@@ -280,12 +280,15 @@ impl Deserialize for MleResult {
 /// # Errors
 ///
 /// [`QfcError::InsufficientData`] for an empty or mixed-arity setting
-/// list, [`QfcError::SingularSystem`] for all-dark data (zero grand
-/// total) or a trace-annihilating update, and [`QfcError::NonFinite`]
-/// when the iteration produces a non-finite update norm.
+/// list, [`QfcError::InvalidParameter`] for settings outside `1..=8`
+/// qubits (see [`ProjectorSet::try_new`]), a malformed count table or a
+/// bad accelerated schedule, [`QfcError::SingularSystem`] for all-dark
+/// data (zero grand total) or a trace-annihilating update, and
+/// [`QfcError::NonFinite`] when the iteration produces a non-finite
+/// update norm.
 pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> QfcResult<MleResult> {
     data.validate()?;
-    try_mle_reconstruction_with(&ProjectorSet::new(&data.settings), data, options)
+    try_mle_reconstruction_with(&ProjectorSet::try_new(&data.settings)?, data, options)
 }
 
 /// [`try_mle_reconstruction`] against a prebuilt projector cache.
@@ -293,11 +296,13 @@ pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> Qf
 /// Runs the shared RρR driver on the dense exact kernel, entirely in
 /// scratch buffers: per iteration it performs no allocation, no
 /// projector rebuild, and no full matrix product where only a trace is
-/// needed. The arithmetic is ordered exactly as the allocating
-/// formulation (`tr(ρ·Π)` via the skip-zero product loop, `R`
-/// accumulated in `(s, o)` order over `f > 0` outcomes, `RρR` as two
-/// products), so results are bit-identical to the historical
-/// implementation.
+/// needed. `tr(ρ·Π)` and `R += (f/p)·Π` visit only the projector's
+/// exact-nonzero entries (see [`ProjectorSet`]); every term they skip
+/// is a `±0` that the full-matrix loops add to a `+0`-started
+/// accumulator, which changes no bit. Kept in the full formulation's
+/// order (`tr(ρ·Π)` summed column by column, `R` accumulated in
+/// `(s, o)` order over `f > 0` outcomes, `RρR` as two products), the
+/// results are bit-identical to the historical dense implementation.
 ///
 /// # Errors
 ///
@@ -330,7 +335,7 @@ pub fn try_mle_reconstruction_with(
             projectors.dim()
         )));
     }
-    let projector = |s, o| projectors.projector(s, o);
+    let projector = |s, o| projectors.entries(s, o);
     run_rrr(&mut DenseExact, &data.counts, projector, dim, options)
 }
 
@@ -359,31 +364,59 @@ pub(crate) trait RrrKernel<P> {
     fn sandwich(&mut self, r: &CMatrix, rho: &CMatrix, r_rho: &mut CMatrix, out: &mut CMatrix);
 }
 
-/// Dense exact kernel: the serial `tr(ρ·Π)` / scaled-add `R` build and
-/// two `matmul_into` products — the arithmetic `tests/golden/` pins.
+/// Dense exact kernel over exact-nonzero projector entries: the serial
+/// `tr(ρ·Π)` / scaled-add `R` build and two `matmul_into` products —
+/// the arithmetic `tests/golden/` pins.
 struct DenseExact;
 
-impl<'a> RrrKernel<&'a CMatrix> for DenseExact {
+impl<'a> RrrKernel<&'a [ProjectorEntry]> for DenseExact {
     const LABEL: &'static str = "";
     const ITERATIONS_COUNTER: &'static str = "mle_iterations";
     const ACCELERATED_COUNTER: &'static str = "mle_accelerated_steps";
 
+    /// Per pair, `Re tr(ρ·Π)` is summed as [`CMatrix::trace_of_product`]
+    /// sums it — one partial per column `i` of `Π` over rows `k`, the
+    /// partials added in column order — restricted to the stored
+    /// entries. Only the real part is formed: complex addition is
+    /// component-wise, so it has the bits of the full product's real
+    /// part. `R` then takes `(f/p)·Π[k, i]` at every stored entry, as
+    /// [`CMatrix::add_scaled_assign`] would.
     fn build_r(
         &mut self,
-        pairs: &[(&'a CMatrix, f64)],
+        pairs: &[(&'a [ProjectorEntry], f64)],
         rho: &CMatrix,
         r: &mut CMatrix,
         with_ll: bool,
     ) -> f64 {
+        let dim = rho.rows();
+        let rho = rho.as_slice();
         r.fill_zero();
+        let r = r.as_mut_slice();
         let mut ll = 0.0;
         // qfc-lint: hot
-        for &(proj, f) in pairs {
-            let p = rho.trace_of_product(proj).re.max(P_FLOOR);
+        for &(entries, f) in pairs {
+            let mut tr = 0.0;
+            let mut column = 0.0;
+            let mut column_end = 0;
+            for e in entries {
+                let at = cast::u32_to_usize(e.rho);
+                if at >= column_end {
+                    tr += column;
+                    column = 0.0;
+                    column_end = (at / dim + 1) * dim;
+                }
+                let x = rho[at];
+                column += x.re * e.value.re - x.im * e.value.im;
+            }
+            tr += column;
+            let p = tr.max(P_FLOOR);
             if with_ll {
                 ll += f * p.ln();
             }
-            r.add_scaled_assign(proj, f / p);
+            let w = f / p;
+            for e in entries {
+                r[cast::u32_to_usize(e.r)] += e.value.scale(w);
+            }
         }
         ll
     }
@@ -563,6 +596,91 @@ mod tests {
     use qfc_quantum::fidelity::state_fidelity;
     use qfc_quantum::state::PureState;
 
+    /// `R` and the log-likelihood of the exact-nonzero kernel against
+    /// the full-matrix `trace_of_product` / `add_scaled_assign` oracle,
+    /// bit for bit, over every four-qubit outcome projector.
+    fn assert_build_r_matches_dense_oracle(rho: &CMatrix) {
+        let settings = all_settings(4);
+        let set = ProjectorSet::try_new(&settings).expect("uniform settings");
+        let mut dense = Vec::new();
+        let mut compressed = Vec::new();
+        for (s, setting) in settings.iter().enumerate() {
+            for o in 0..setting.outcomes() {
+                let f = cast::to_f64((s * 7 + o * 3) % 11 + 1) / 97.0;
+                dense.push((setting.outcome_projector(o), f));
+                compressed.push((set.entries(s, o), f));
+            }
+        }
+        for with_ll in [false, true] {
+            let mut want = CMatrix::zeros(16, 16);
+            let mut want_ll = 0.0;
+            for (proj, f) in &dense {
+                let p = rho.trace_of_product(proj).re.max(P_FLOOR);
+                want_ll += f * p.ln();
+                want.add_scaled_assign(proj, f / p);
+            }
+            let mut got = CMatrix::zeros(16, 16);
+            let got_ll = DenseExact.build_r(&compressed, rho, &mut got, with_ll);
+            let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+                m.as_slice()
+                    .iter()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "R differs (with_ll = {with_ll})");
+            if with_ll {
+                assert_eq!(
+                    got_ll.to_bits(),
+                    want_ll.to_bits(),
+                    "log-likelihood differs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn build_r_matches_dense_oracle_at_maximally_mixed_start() {
+        // The driver's starting iterate: every off-diagonal exactly zero.
+        assert_build_r_matches_dense_oracle(&CMatrix::identity(16).scale(1.0 / 16.0));
+    }
+
+    #[test]
+    fn build_r_matches_dense_oracle_at_scrambled_hermitian() {
+        let rho = CMatrix::from_fn(16, 16, |i, j| {
+            let phase = cast::to_f64(i * 31 + j * 17);
+            let z = Complex64::new(phase.sin() / 40.0, phase.cos() / 50.0);
+            match i.cmp(&j) {
+                std::cmp::Ordering::Less => z,
+                std::cmp::Ordering::Equal => Complex64::real(1.0 / 16.0 + z.re / 4.0),
+                std::cmp::Ordering::Greater => {
+                    let mirror = cast::to_f64(j * 31 + i * 17);
+                    Complex64::new(mirror.sin() / 40.0, -mirror.cos() / 50.0)
+                }
+            }
+        });
+        assert!(rho.is_hermitian(0.0));
+        assert_build_r_matches_dense_oracle(&rho);
+    }
+
+    #[test]
+    fn build_r_matches_dense_oracle_with_signed_zero_entries() {
+        let zeros = [
+            Complex64::new(-0.0, 0.0),
+            Complex64::new(0.0, -0.0),
+            Complex64::new(-0.0, -0.0),
+            Complex64::new(-0.0, 0.25),
+            Complex64::new(0.125, -0.0),
+        ];
+        let rho = CMatrix::from_fn(16, 16, |i, j| {
+            if (i + 2 * j) % 3 == 0 {
+                zeros[(i + j) % zeros.len()]
+            } else {
+                Complex64::new(cast::to_f64(i + 1) / 64.0, -cast::to_f64(j) / 128.0)
+            }
+        });
+        assert_build_r_matches_dense_oracle(&rho);
+    }
+
     #[test]
     fn linear_inversion_exact_single_qubit() {
         let rho = DensityMatrix::from_pure(&PureState::plus());
@@ -672,7 +790,7 @@ mod tests {
         let mut rng = rng_from_seed(36);
         let rho = werner_state(0.83, 0.0);
         let data = simulate_counts(&mut rng, &rho, &all_settings(2), 500);
-        let wrong = ProjectorSet::new(&all_settings(1));
+        let wrong = ProjectorSet::try_new(&all_settings(1)).expect("one-qubit set");
         let err = try_mle_reconstruction_with(&wrong, &data, &MleOptions::default())
             .unwrap_err();
         assert!(matches!(err, QfcError::InvalidParameter { .. }), "{err}");

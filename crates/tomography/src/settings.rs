@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use qfc_faults::{QfcError, QfcResult};
 use qfc_mathkit::cast;
 use qfc_mathkit::cmatrix::CMatrix;
 use qfc_mathkit::complex::{Complex64, C_ONE};
@@ -162,67 +163,153 @@ pub fn all_settings(n: usize) -> Vec<Setting> {
     }
 }
 
-/// Cached outcome projectors for a list of settings.
+/// The qubit count every setting in `settings` measures; `what` names
+/// the set being built in the error context.
+///
+/// # Errors
+///
+/// [`QfcError::InsufficientData`] for an empty setting list,
+/// [`QfcError::InvalidParameter`] for mixed-arity settings.
+pub(crate) fn try_common_qubits(settings: &[Setting], what: &str) -> QfcResult<usize> {
+    let first = settings.first().ok_or_else(|| QfcError::InsufficientData {
+        context: format!("{what} needs at least one setting"),
+    })?;
+    let n = first.qubits();
+    for (s, setting) in settings.iter().enumerate() {
+        if setting.qubits() != n {
+            return Err(QfcError::invalid(format!(
+                "mixed-arity setting list: setting {s} measures {} qubit(s) \
+                 but setting 0 measures {n}",
+                setting.qubits()
+            )));
+        }
+    }
+    Ok(n)
+}
+
+/// One stored entry `Π[k, i]` of an outcome projector, with its flat
+/// row-major offsets into `ρ` (`i·d + k`) and into `R` (`k·d + i`) —
+/// the two places the MLE's `R` build reads and writes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProjectorEntry {
+    /// Offset `i·d + k` of `ρ[i, k]`, the factor `Π[k, i]` meets in
+    /// `tr(ρ·Π)`.
+    pub(crate) rho: u32,
+    /// Offset `k·d + i` of the `R` element `Π[k, i]` is added to.
+    pub(crate) r: u32,
+    /// The projector element `Π[k, i]`, never `±0 + ±0i`.
+    pub(crate) value: Complex64,
+}
+
+/// Cached outcome projectors for a list of settings, stored as their
+/// exact-nonzero entries.
 ///
 /// [`Setting::outcome_projector`] rebuilds its Kronecker chain on every
 /// call; the MLE RρR loop evaluates each projector hundreds of times per
 /// reconstruction, and a bootstrap evaluates each reconstruction dozens
 /// of times. This cache builds every projector exactly once — via the
-/// same `outcome_projector` code path, so the cached matrices are
-/// bit-identical to freshly built ones — and hands out references.
+/// same `outcome_projector` code path — and keeps only the entries that
+/// are not `±0 + ±0i`, bit-identical to the freshly built matrix. A
+/// Pauli projector is a Kronecker product of 2×2 eigenprojectors whose
+/// Z factors are diagonal, so it has `4^m` nonzeros for `m` X/Y qubits:
+/// 81 of 256 entries on average over the four-qubit settings.
+///
+/// Entries are stored projector after projector in one flat arena,
+/// each projector in column-then-row order (column `i` of `Π`, then row
+/// `k`), which is ascending order of the `ρ` offset. Dropping the zeros
+/// changes no result bit: every skipped term of `tr(ρ·Π)` or of
+/// `R += w·Π` is a `±0` product of finite values, every accumulator
+/// starts at `+0`, and round-to-nearest addition that starts from `+0`
+/// never yields `−0`, so adding `±0` is the identity.
 #[derive(Debug, Clone)]
 pub struct ProjectorSet {
-    /// `projectors[s][o]` for setting `s`, outcome `o`.
-    projectors: Vec<Vec<CMatrix>>,
-    /// Hilbert-space dimension `2ⁿ`.
-    dim: usize,
+    /// Every projector's entries, outcome after outcome.
+    entries: Vec<ProjectorEntry>,
+    /// Projector `j = s·2ⁿ + o` is `entries[offsets[j]..offsets[j + 1]]`.
+    offsets: Vec<usize>,
+    /// Qubits measured by every setting.
+    qubits: usize,
 }
 
 impl ProjectorSet {
-    /// Precomputes all `Σ_s 2ⁿ` outcome projectors.
+    /// Precomputes all `Σ_s 2ⁿ` outcome projectors, building one dense
+    /// projector at a time and keeping only its exact-nonzero entries.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `settings` is empty or the settings measure different
-    /// qubit counts.
-    pub fn new(settings: &[Setting]) -> Self {
-        assert!(!settings.is_empty(), "projector set needs at least one setting");
-        let n = settings[0].qubits();
-        let projectors: Vec<Vec<CMatrix>> = settings
-            .iter()
-            .map(|setting| {
-                assert_eq!(setting.qubits(), n, "settings measure different qubit counts");
-                (0..setting.outcomes()).map(|o| setting.outcome_projector(o)).collect()
-            })
-            .collect();
-        Self {
-            projectors,
-            dim: 1 << n,
+    /// [`QfcError::InsufficientData`] for an empty setting list,
+    /// [`QfcError::InvalidParameter`] for mixed-arity settings or a
+    /// qubit count outside `1..=8`.
+    pub fn try_new(settings: &[Setting]) -> QfcResult<Self> {
+        let n = try_common_qubits(settings, "projector set")?;
+        if !(1..=8).contains(&n) {
+            return Err(QfcError::invalid(format!(
+                "projector set supports 1..=8 qubits (got {n})"
+            )));
         }
+        let dim = 1usize << n;
+        // A Z factor keeps 1 of its 4 entries and an X or Y factor all
+        // 4, so a setting with m X/Y qubits stores 2ⁿ·4^m entries.
+        // Reserving that up front keeps the arena from doubling past
+        // its final size while it grows.
+        let capacity = settings
+            .iter()
+            .map(|s| dim << (2 * s.0.iter().filter(|&&b| b != PauliBasis::Z).count()))
+            .sum();
+        let mut entries = Vec::with_capacity(capacity);
+        let mut offsets = Vec::with_capacity(settings.len() * dim + 1);
+        offsets.push(0);
+        for setting in settings {
+            for o in 0..dim {
+                let proj = setting.outcome_projector(o);
+                for i in 0..dim {
+                    for k in 0..dim {
+                        let value = proj[(k, i)];
+                        if !value.approx_zero(0.0) {
+                            entries.push(ProjectorEntry {
+                                rho: cast::usize_to_u32(i * dim + k),
+                                r: cast::usize_to_u32(k * dim + i),
+                                value,
+                            });
+                        }
+                    }
+                }
+                offsets.push(entries.len());
+            }
+        }
+        Ok(Self {
+            entries,
+            offsets,
+            qubits: n,
+        })
     }
 
     /// Hilbert-space dimension.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.dim
+        1 << self.qubits
     }
 
     /// Number of settings covered.
     #[inline]
     pub fn settings(&self) -> usize {
-        self.projectors.len()
+        (self.offsets.len() - 1) >> self.qubits
     }
 
-    /// Outcomes of setting `s`.
+    /// The stored entries of outcome `o`'s projector in setting `s`, in
+    /// column-then-row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` or `o` is out of range.
     #[inline]
-    pub fn outcomes(&self, s: usize) -> usize {
-        self.projectors[s].len()
-    }
-
-    /// The cached projector of outcome `o` in setting `s`.
-    #[inline]
-    pub fn projector(&self, s: usize, o: usize) -> &CMatrix {
-        &self.projectors[s][o]
+    pub(crate) fn entries(&self, s: usize, o: usize) -> &[ProjectorEntry] {
+        assert!(
+            s < self.settings() && o < self.dim(),
+            "projector index out of range"
+        );
+        let j = (s << self.qubits) + o;
+        &self.entries[self.offsets[j]..self.offsets[j + 1]]
     }
 }
 
@@ -343,32 +430,82 @@ mod tests {
     }
 
     #[test]
-    fn projector_set_caches_bit_identical_projectors() {
-        let settings = all_settings(2);
-        let cache = ProjectorSet::new(&settings);
-        assert_eq!(cache.dim(), 4);
-        assert_eq!(cache.settings(), 9);
-        for (s, setting) in settings.iter().enumerate() {
-            assert_eq!(cache.outcomes(s), setting.outcomes());
-            for o in 0..setting.outcomes() {
-                let fresh = setting.outcome_projector(o);
-                let cached = cache.projector(s, o);
-                assert!(
-                    fresh
-                        .as_slice()
-                        .iter()
-                        .zip(cached.as_slice())
-                        .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
-                            && a.im.to_bits() == b.im.to_bits()),
-                    "setting {s} outcome {o}"
-                );
+    fn projector_set_stores_exact_nonzero_entries() {
+        for n in 1..=4 {
+            let settings = all_settings(n);
+            let cache = ProjectorSet::try_new(&settings).expect("uniform settings");
+            let dim = 1 << n;
+            assert_eq!(cache.dim(), dim);
+            assert_eq!(cache.settings(), settings.len());
+            for (s, setting) in settings.iter().enumerate() {
+                let xy = setting.0.iter().filter(|&&b| b != PauliBasis::Z).count();
+                for o in 0..setting.outcomes() {
+                    let fresh = setting.outcome_projector(o);
+                    let entries = cache.entries(s, o);
+                    assert_eq!(
+                        entries.len(),
+                        1 << (2 * xy),
+                        "n {n} setting {s} outcome {o}"
+                    );
+                    let mut stored = vec![false; dim * dim];
+                    let mut last = None;
+                    for e in entries {
+                        let (rho, r) = (cast::u32_to_usize(e.rho), cast::u32_to_usize(e.r));
+                        let (i, k) = (rho / dim, rho % dim);
+                        assert_eq!(r, k * dim + i);
+                        assert!(last < Some(rho), "entries not in column-then-row order");
+                        last = Some(rho);
+                        let want = fresh[(k, i)];
+                        assert_eq!(e.value.re.to_bits(), want.re.to_bits());
+                        assert_eq!(e.value.im.to_bits(), want.im.to_bits());
+                        stored[r] = true;
+                    }
+                    for (at, value) in fresh.as_slice().iter().enumerate() {
+                        if !stored[at] {
+                            assert!(
+                                value.re == 0.0 && value.im == 0.0,
+                                "n {n} setting {s} outcome {o}: dropped nonzero {value:?}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one setting")]
     fn projector_set_rejects_empty() {
-        let _ = ProjectorSet::new(&[]);
+        let err = ProjectorSet::try_new(&[]).unwrap_err();
+        assert!(matches!(err, QfcError::InsufficientData { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("projector set needs at least one setting"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn projector_set_rejects_mixed_arity() {
+        let mixed = [
+            Setting::from_bases(&[PauliBasis::Z]),
+            Setting::from_bases(&[PauliBasis::Z, PauliBasis::X]),
+        ];
+        let err = ProjectorSet::try_new(&mixed).unwrap_err();
+        assert!(matches!(err, QfcError::InvalidParameter { .. }), "{err}");
+        assert!(
+            err.to_string().contains(
+                "mixed-arity setting list: setting 1 measures 2 qubit(s) but setting 0 measures 1"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn projector_set_rejects_unsupported_qubit_counts() {
+        for n in [0, 9] {
+            let err = ProjectorSet::try_new(&[Setting(vec![PauliBasis::Z; n])]).unwrap_err();
+            assert!(matches!(err, QfcError::InvalidParameter { .. }), "{err}");
+            assert!(err.to_string().contains("1..=8 qubits"), "{err}");
+        }
     }
 }

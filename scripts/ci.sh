@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, every workspace crate's tests, the
-# EXPERIMENTS.md drift check, workspace static analysis (qfc-lint),
-# per-crate lints, and the campaign-recovery and fault-matrix smoke runs.
+# benchmark's self-tests, the EXPERIMENTS.md drift check, workspace
+# static analysis (qfc-lint), per-crate lints, and the campaign-recovery
+# and fault-matrix smoke runs.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,6 +12,11 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> benchmark self-tests (pass checker, quick mode on every workload)"
+# benchmark/ is its own package outside the workspace, so the step above
+# does not build it; a library change that breaks it shows up here.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> EXPERIMENTS.md drift check (full_reproduction output byte-identity)"
 # The committed paper-vs-measured record must be exactly what the code

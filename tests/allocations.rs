@@ -267,12 +267,11 @@ fn opo_threshold_sweep() {
 
 /// The rank-1 qudit reconstruction on a synthetic rank-`rank` state in
 /// `n_bases` deterministic bases, at `N` and `2N` accelerated iterations.
-///
-/// Unlike the dense MLE this kernel is not flat per iteration: the `R`
-/// sweep allocates four scratch buffers per chunk per `R` build. The
-/// 64-call slack absorbs that at these small budgets, so here the test
-/// catches a per-pair allocation (`N × pairs` calls), not a per-iteration
-/// one.
+/// The `R` sweep keeps its scratch in the kernel across `R` builds; the
+/// parallel sweep (d = 64) still makes one allocation per build, the
+/// runtime's table of chunk slots, which the 64-call slack absorbs. At
+/// these budgets a per-pair allocation, or the four scratch buffers per
+/// chunk per `R` build that the sweep once allocated, breaks the bound.
 fn assert_rank1_mle_flat(dim: usize, rank: usize, n_bases: usize, iterations: u64) {
     let rho = synthetic_low_rank_state(dim, rank, 41).expect("qudit dims are supported");
     let bases = deterministic_bases(dim, n_bases, 77).expect("bases orthonormalize");
@@ -286,10 +285,10 @@ fn assert_rank1_mle_flat(dim: usize, rank: usize, n_bases: usize, iterations: u6
 
 #[test]
 fn rank1_mle_d16() {
-    assert_rank1_mle_flat(16, 3, 5, 10);
+    assert_rank1_mle_flat(16, 3, 5, 20);
 }
 
 #[test]
 fn rank1_mle_d64() {
-    assert_rank1_mle_flat(64, 4, 4, 3);
+    assert_rank1_mle_flat(64, 4, 4, 6);
 }
